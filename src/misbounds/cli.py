@@ -3,7 +3,8 @@
 Subcommands: count, alpha, classify, bound, construct, enumerate,
 verify, lemmas, convert. Output is line-oriented and stable; numbers
 print in full decimal. Exit codes: 0 success, 1 verify/lemmas found a
-violation, 2 usage or input error.
+violation, 2 usage or input error, 3 internal error (a crash, reported
+as one line on stderr, so that it never reads as a violation).
 """
 
 from __future__ import annotations
@@ -298,6 +299,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -1,41 +1,33 @@
 """Exact counting and enumeration of maximal independent sets.
 
-Four routes, each checking the others in the test suite:
+Routes, each checked against the others in the test suite:
 
-- a subset-iteration oracle (vectorized with numpy, guarded at n <= 25),
+- trees and forest components: one iterative pass over the rooted tree
+  that yields both the maximal-independent-set count and alpha in linear
+  time (Wilf 1986; Sagan 1988),
+- unicyclic components, bare cycles included: the same pass with one
+  cycle edge deleted, run three times under the three ways a maximal set
+  can meet that edge,
+- the cycle recurrence mis(C_n) = mis(C_{n-2}) + mis(C_{n-3}), kept for
+  the cycle-bound report,
 - a pivoted branch-and-bound enumerator working on the complement's
-  maximal cliques,
-- a support-vertex recursion for forests with component products and
-  canonical-form memoization,
-- the classic cycle recurrence mis(C_n) = mis(C_{n-2}) + mis(C_{n-3}).
+  maximal cliques, the fallback for every other component,
+- a subset-iteration oracle (vectorized with numpy, guarded at n <= 25).
 
 The dispatcher mis_count routes each connected component to the
-cheapest applicable route. All functions are pure; the memo table is a
-module-level dict whose races are benign (values are canonical).
+cheapest applicable route. All functions are pure; nothing is memoized.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .graphs import (
-    Graph,
-    canonical_form,
-    classify,
-    closed_neighborhood,
-    components,
-    delete_vertices,
-    find_support_reduction,
-)
+from .graphs import Graph, _bits, classify, components
 
 BRUTEFORCE_LIMIT = 25
 _BRUTE_CHUNK = 1 << 20
-
-_MEMO_MIN_ORDER = 4
-_MEMO_MAX_ORDER = 16
-_forest_memo: dict[bytes, int] = {}
 
 
 def mis_count_bruteforce(g: Graph) -> int:
@@ -81,12 +73,12 @@ def mis_enumerate(g: Graph) -> Iterator[frozenset[int]]:
 
     def expand(r: int, p: int, x: int) -> None:
         if p == 0 and x == 0:
-            found.append(frozenset(_bit_indices(r)))
+            found.append(frozenset(_bits(r)))
             return
         pivot_pool = p | x
-        pivot = max(_bit_indices(pivot_pool), key=lambda u: (comp[u] & p).bit_count())
+        pivot = max(_bits(pivot_pool), key=lambda u: (comp[u] & p).bit_count())
         branch = p & ~comp[pivot]
-        for v in _bit_indices(branch):
+        for v in _bits(branch):
             vb = 1 << v
             expand(r | vb, p & comp[v], x & comp[v])
             p &= ~vb
@@ -95,15 +87,6 @@ def mis_enumerate(g: Graph) -> Iterator[frozenset[int]]:
     expand(0, full, 0)
     found.sort(key=lambda s: tuple(sorted(s)))
     yield from found
-
-
-def _bit_indices(mask: int) -> Iterator[int]:
-    v = 0
-    while mask:
-        if mask & 1:
-            yield v
-        mask >>= 1
-        v += 1
 
 
 def mis_count_cycle(n: int) -> int:
@@ -122,111 +105,108 @@ def mis_count_cycle(n: int) -> int:
 def mis_count_forest(g: Graph) -> int:
     """Count maximal independent sets of a forest.
 
-    Components multiply. Within a tree, pick a support vertex y with
-    leaf set Q and add the counts after deleting Q+y and after deleting
-    N[y]. Small components are memoized under their canonical form so
-    repeated subtrees are counted once.
+    Components multiply; each tree takes one pass of the tree DP.
     """
     kind = classify(g).kind
     if kind not in ("tree", "forest"):
         raise ValueError(f"mis_count_forest needs a forest, got {kind}")
-    return _count_forest(g)
-
-
-def _count_forest(g: Graph) -> int:
-    total = 1
-    for comp, _ in components(g):
-        total *= _count_tree_component(comp)
-    return total
-
-
-def _count_tree_component(t: Graph) -> int:
-    n = t.order
-    if n <= 1:
-        return 1
-    if n == 2:
-        return 2
-    memo_key = None
-    if _MEMO_MIN_ORDER <= n <= _MEMO_MAX_ORDER:
-        memo_key = canonical_form(t)
-        cached = _forest_memo.get(memo_key)
-        if cached is not None:
-            return cached
-    red = find_support_reduction(t)
-    assert red is not None  # every tree on >= 3 vertices has a support vertex
-    without_bundle = delete_vertices(t, red.leaves | {red.support})
-    without_closed = delete_vertices(t, closed_neighborhood(t, red.support))
-    result = _count_forest(without_bundle) + _count_forest(without_closed)
-    if memo_key is not None:
-        _forest_memo[memo_key] = result
-    return result
+    return mis_count(g)
 
 
 def mis_count(g: Graph) -> int:
     """Count maximal independent sets of any graph.
 
-    Components multiply. Forest components use the support-vertex
-    recursion, bare cycles the cycle recurrence, unicyclic components
-    with leaves reduce at a farthest-from-cycle support vertex, and
-    anything else falls back to the enumerator.
+    Components multiply. Tree and unicyclic components (bare cycles
+    included) take the linear-time DP; anything else falls back to the
+    enumerator.
     """
     total = 1
     for comp, _ in components(g):
-        total *= _count_component(comp)
+        pair = _sparse_mis_alpha(comp)
+        total *= pair[0] if pair else sum(1 for _ in mis_enumerate(comp))
     return total
-
-
-def _count_component(c: Graph) -> int:
-    cls = classify(c)
-    if cls.kind == "tree":
-        return _count_tree_component(c)
-    if cls.kind == "unicyclic":
-        if len(cls.cycle) == c.order:
-            return mis_count_cycle(c.order)
-        red = find_support_reduction(c)
-        assert red is not None
-        without_bundle = delete_vertices(c, red.leaves | {red.support})
-        without_closed = delete_vertices(c, closed_neighborhood(c, red.support))
-        return mis_count(without_bundle) + mis_count(without_closed)
-    return sum(1 for _ in mis_enumerate(c))
 
 
 def independence_number(g: Graph) -> int:
     """Size of a maximum independent set, summed over components.
 
-    Tree components use include/exclude dynamic programming over a
-    rooted traversal; for anything else the maximum cardinality over the
-    enumerated maximal sets is exact, since every maximum set is maximal.
+    Tree and unicyclic components take the linear-time DP; for anything
+    else the maximum cardinality over the enumerated maximal sets is
+    exact, since every maximum set is maximal.
     """
     total = 0
     for comp, _ in components(g):
-        if comp.edge_count == comp.order - 1:
-            total += _tree_alpha(comp)
-        else:
-            total += max((len(s) for s in mis_enumerate(comp)), default=0)
+        pair = _sparse_mis_alpha(comp)
+        total += pair[1] if pair else max(len(s) for s in mis_enumerate(comp))
     return total
 
 
-def _tree_alpha(t: Graph) -> int:
-    n = t.order
-    if n == 0:
-        return 0
-    parent = [-1] * n
-    order = [0]
-    seen = 1
-    i = 0
-    while i < len(order):
-        v = order[i]
-        i += 1
-        for w in _bit_indices(t.adj[v]):
-            if not seen >> w & 1:
-                seen |= 1 << w
-                parent[w] = v
-                order.append(w)
-    inc = [1] * n
-    exc = [0] * n
-    for v in reversed(order):
-        if parent[v] >= 0:
-            inc[parent[v]] += exc[v]
-            exc[parent[v]] += max(inc[v], exc[v])
-    return max(inc[0], exc[0])
+def _sparse_mis_alpha(c: Graph) -> Optional[tuple[int, int]]:
+    """(mis, alpha) of a connected tree or unicyclic graph; None otherwise.
+
+    A unicyclic graph loses one cycle edge (u, x) and the tree left is
+    counted three times, once for each way a maximal set meets that
+    edge: u in and x out (x dominated by u), u out (dominated by x) and
+    x in, or both out and each dominated inside the tree.
+    """
+    cls = classify(c)
+    if cls.kind == "tree":
+        return _tree_pass(*_rooted(c.adj, 0))
+    if cls.kind != "unicyclic":
+        return None
+    u, x = cls.cycle[0], cls.cycle[1]
+    adj = list(c.adj)
+    adj[u] ^= 1 << x
+    adj[x] ^= 1 << u
+    order, parent = _rooted(adj, u)
+    # Pinned states (in_s, out, bare, inc, exc): in S; out and dominated
+    # across the deleted edge; out and to be dominated inside the tree.
+    neg = -c.order
+    s_in, covered, s_out = (1, 0, 0, 1, neg), (0, 1, 0, neg, 0), (0, 1, 1, neg, 0)
+    runs = [
+        _tree_pass(order, parent, ((u, pu), (x, px)))
+        for pu, px in ((s_in, covered), (covered, s_in), (s_out, s_out))
+    ]
+    return sum(m for m, _ in runs), max(a for _, a in runs)
+
+
+def _rooted(adj: Sequence[int], root: int) -> tuple[list[int], list[int]]:
+    """Breadth-first order of a tree from root, and each vertex's parent."""
+    parent = [-1] * len(adj)
+    order = [root]
+    seen = 1 << root
+    for v in order:
+        for w in _bits(adj[v] & ~seen):
+            parent[w] = v
+            order.append(w)
+        seen |= adj[v]
+    return order, parent
+
+
+def _tree_pass(
+    order: list[int], parent: list[int], pins: Iterable[tuple[int, tuple]] = ()
+) -> tuple[int, int]:
+    """(mis, alpha) of a tree by one bottom-up pass, children first.
+
+    Over the sets S of v's subtree that are independent and in which
+    every vertex but v is in S or has a neighbour in S, in_s[v] counts
+    those with v in S, out[v] those without, and bare[v] those where no
+    child of v is in S either (v's parent must then be in S). inc[v]
+    and exc[v] are the largest independent sets of the subtree with and
+    without v. A pin replaces a vertex's starting values; a negative
+    alpha value of at most -n marks a choice the pin forbids.
+    """
+    n = len(order)
+    in_s, out, bare, inc, exc = [1] * n, [1] * n, [1] * n, [1] * n, [0] * n
+    for v, state in pins:
+        in_s[v], out[v], bare[v], inc[v], exc[v] = state
+    for v in reversed(order[1:]):
+        p = parent[v]
+        dom = out[v] - bare[v]
+        in_s[p] *= out[v]
+        out[p] *= in_s[v] + dom
+        bare[p] *= dom
+        inc[p] += exc[v]
+        exc[p] += max(inc[v], exc[v])
+    r = order[0]
+    return in_s[r] + out[r] - bare[r], max(inc[r], exc[r])

@@ -96,12 +96,11 @@ class SupportReduction:
 
 
 def _bits(mask: int) -> Iterator[int]:
-    v = 0
+    """Indices of the set bits of mask, lowest first."""
     while mask:
-        if mask & 1:
-            yield v
-        mask >>= 1
-        v += 1
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def make_graph(order: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -149,6 +148,8 @@ def components(g: Graph) -> list[Component]:
 
 
 def _induced(g: Graph, verts: tuple[int, ...]) -> Graph:
+    if len(verts) == g.order:  # verts ascend, so this is g unchanged
+        return g
     pos = {v: i for i, v in enumerate(verts)}
     adj = [0] * len(verts)
     for i, v in enumerate(verts):

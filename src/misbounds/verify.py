@@ -19,7 +19,14 @@ from typing import Iterable, Iterator, Optional
 
 from .bounds import BoundQuery, ell_seq, tree_bound, unicyclic_bound
 from .counting import independence_number, mis_count, mis_count_cycle
-from .generate import forests, free_trees, unicyclic_graphs
+from .generate import (
+    FOREST_LIMIT,
+    TREE_LIMIT,
+    UNICYCLIC_LIMIT,
+    forests,
+    free_trees,
+    unicyclic_graphs,
+)
 from .graphs import Graph, canonical_form, classify
 
 CSV_COLUMNS = (
@@ -37,6 +44,8 @@ CSV_COLUMNS = (
 STATUS_SHARP = "holds_sharp"
 STATUS_NOT_SHARP = "holds_not_sharp"
 STATUS_VIOLATED = "violated"
+
+_ORDER_LIMITS = {"tree": TREE_LIMIT, "unicyclic": UNICYCLIC_LIMIT, "forest": FOREST_LIMIT}
 
 
 @dataclass(frozen=True)
@@ -93,36 +102,30 @@ def _scan_slice(
     slices: int,
     keep_all: bool,
 ) -> dict[int, _Bucket]:
-    """One worker's share of a stream: every slices-th graph from slice_idx."""
-    buckets: dict[int, _Bucket] = {}
+    """One worker's share of a stream: every slices-th graph from slice_idx.
+
+    Each alpha keeps the graphs tied at its running minimum; only those
+    left when the slice ends are put in canonical form.
+    """
+    scanned: dict[int, int] = {}
+    tied: dict[int, tuple[int, list[Graph]]] = {}
     for idx, g in enumerate(_class_stream(graph_class, n)):
         if idx % slices != slice_idx:
             continue
         alpha = independence_number(g)
         m = mis_count(g)
-        b = buckets.get(alpha)
-        if b is None:
-            w = canonical_form(g).decode("ascii")
-            buckets[alpha] = _Bucket(
-                m, 1, w, 1, [w] if keep_all else None
-            )
-            continue
-        b.scanned += 1
-        if m > b.min_mis:
-            continue
-        w = canonical_form(g).decode("ascii")
-        if m < b.min_mis:
-            b.min_mis = m
-            b.count = 1
-            b.witness = w
-            if keep_all:
-                b.all_witnesses = [w]
-        else:
-            b.count += 1
-            if w < b.witness:
-                b.witness = w
-            if keep_all:
-                b.all_witnesses.append(w)
+        scanned[alpha] = scanned.get(alpha, 0) + 1
+        best = tied.get(alpha)
+        if best is None or m < best[0]:
+            tied[alpha] = (m, [g])
+        elif m == best[0]:
+            best[1].append(g)
+    buckets: dict[int, _Bucket] = {}
+    for alpha, (m, graphs) in tied.items():
+        forms = [canonical_form(g).decode("ascii") for g in graphs]
+        buckets[alpha] = _Bucket(
+            m, len(forms), min(forms), scanned[alpha], forms if keep_all else None
+        )
     return buckets
 
 
@@ -167,6 +170,10 @@ def _verify_class(
     jobs: int = 1,
     keep_all: bool = False,
 ) -> VerifyResult:
+    n_values = list(n_values)
+    limit = _ORDER_LIMITS[graph_class]
+    if n_values and max(n_values) > limit:
+        raise ValueError(f"order {max(n_values)} above {graph_class} limit {limit}")
     tasks = []
     slices = max(1, jobs)
     for n in n_values:

@@ -1,8 +1,9 @@
 """Independent oracles the tests check production code against.
 
-Everything here is deliberately naive: plain subset loops, permutation
-sweeps, Pruefer decoding, and levelwise labeled growth with canonical
-dedup. None of it shares algorithms with the package internals.
+Everything here is deliberately naive: plain subset loops, the paper's
+support-vertex recursion, permutation sweeps, Pruefer decoding, and
+levelwise labeled growth with canonical dedup. None of it shares
+algorithms with the package's counting routes.
 """
 
 from __future__ import annotations
@@ -10,7 +11,18 @@ from __future__ import annotations
 import bisect
 from itertools import combinations, permutations, product
 
-from misbounds.graphs import Graph, canonical_form, make_graph, write_graph6
+from misbounds.counting import mis_count_cycle
+from misbounds.graphs import (
+    Graph,
+    canonical_form,
+    classify,
+    closed_neighborhood,
+    components,
+    delete_vertices,
+    find_support_reduction,
+    make_graph,
+    write_graph6,
+)
 
 
 def brute_mis_count(g: Graph) -> int:
@@ -57,6 +69,31 @@ def brute_maximal_sets(g: Graph) -> list[frozenset[int]]:
 def brute_alpha(g: Graph) -> int:
     """Max cardinality over brute-forced maximal sets."""
     return max((len(s) for s in brute_maximal_sets(g)), default=0)
+
+
+def support_vertex_mis_count(g: Graph) -> int:
+    """mis(g) by the support-vertex recursion of the paper's Lemma 3.
+
+    Components multiply. A component with a support vertex y and leaf
+    set Q counts as mis(C - Q - y) + mis(C - N[y]); a leafless component
+    is a bare cycle (cycle recurrence) or is counted by the subset loop.
+    Exponential without a memo, so keep it to small orders.
+    """
+    total = 1
+    for comp, _ in components(g):
+        if comp.order <= 2:
+            total *= comp.order or 1
+            continue
+        red = find_support_reduction(comp)
+        if red is not None:
+            bundle = delete_vertices(comp, red.leaves | {red.support})
+            closed = delete_vertices(comp, closed_neighborhood(comp, red.support))
+            total *= support_vertex_mis_count(bundle) + support_vertex_mis_count(closed)
+        elif classify(comp).kind == "unicyclic":
+            total *= mis_count_cycle(comp.order)
+        else:
+            total *= brute_mis_count(comp)
+    return total
 
 
 def brute_canonical(g: Graph) -> str:
@@ -122,15 +159,11 @@ def _edge_subset_classes(n: int, edge_count: int, keep) -> set[bytes]:
 
 def labeled_unicyclic_classes(n: int) -> set[bytes]:
     """All labeled graphs with n edges that are connected (small n only)."""
-    from misbounds.graphs import classify
-
     return _edge_subset_classes(n, n, lambda g: classify(g).kind == "unicyclic")
 
 
 def labeled_forest_classes(n: int) -> set[bytes]:
     """All labeled acyclic graphs on n vertices (small n only)."""
-    from misbounds.graphs import classify
-
     pairs = list(combinations(range(n), 2))
     forms = set()
     for m in range(n):

@@ -7,6 +7,7 @@ tolerances anywhere.
 
 from __future__ import annotations
 
+import hashlib
 import random
 import time
 from itertools import combinations
@@ -53,6 +54,20 @@ from oracle_helpers import (
 RANDOM_SEED = 987654321
 JOBS = 2
 
+# sha256 of records_to_csv(...) for trees <= 14, unicyclic <= 12 and
+# forests <= 12: the tree.csv, unicyclic.csv and forest.csv that
+# scripts/run_certification.py writes at its defaults. A change to any
+# counting route must leave these certificates byte-identical.
+GOLDEN_CSV_SHA256 = {
+    "tree": "63784994cfe14b9d7064d279aba7eec9b8fd7309e2d857d5d3222463e579493b",
+    "unicyclic": "a9062c82c35b0aab834ebd46f19483e62968a6a8569142f290b224f78ec0f274",
+    "forest": "25d4a006c8572f445234bdb8e7d15e06c97d37525912232c68fe4ea52c54051c",
+}
+
+
+def _csv_sha256(records) -> str:
+    return hashlib.sha256(records_to_csv(records).encode("ascii")).hexdigest()
+
 
 def _report(criterion: int, ok: bool, detail: str) -> None:
     print(f"ACCEPTANCE {criterion:2d} {'PASS' if ok else 'FAIL'}: {detail}")
@@ -68,8 +83,10 @@ def test_criterion_01_tree_theorem_desk_scale(capsys):
     res = verify_tree_theorem(14, jobs=JOBS)
     elapsed = time.time() - t0
     scanned = sum(r.graphs_scanned for r in res.records)
+    golden_ok = _csv_sha256(res.records) == GOLDEN_CSV_SHA256["tree"]
     ok = (
         cli_ok
+        and golden_ok
         and not res.violations
         and all(
             r.status == "holds_sharp" and r.min_mis == g_seq(r.n - r.alpha)
@@ -80,7 +97,7 @@ def test_criterion_01_tree_theorem_desk_scale(capsys):
         1,
         ok,
         f"trees n<=14: {scanned} trees, {len(res.records)} cells, "
-        f"0 violations, all sharp, exit 0, {elapsed:.1f}s",
+        f"0 violations, all sharp, exit 0, golden csv {golden_ok}, {elapsed:.1f}s",
     )
     assert ok
     assert elapsed < 300
@@ -97,9 +114,11 @@ def test_criterion_02_unicyclic_theorem_desk_scale():
             boundary_ok &= cell[(n, n - 2)].min_mis == 3
     for n in range(5, 13, 2):
         boundary_ok &= cell[(n, n // 2)].min_mis == ell_seq((n + 1) // 2)
+    golden_ok = _csv_sha256(res.records) == GOLDEN_CSV_SHA256["unicyclic"]
     ok = (
         not res.violations
         and boundary_ok
+        and golden_ok
         and all(
             r.status == "holds_sharp"
             and r.min_mis == unicyclic_bound(BoundQuery("unicyclic", r.n, r.alpha))
@@ -111,7 +130,7 @@ def test_criterion_02_unicyclic_theorem_desk_scale():
         2,
         ok,
         f"unicyclic n<=12: {scanned} graphs, {len(res.records)} cells, "
-        f"0 violations, boundary cells exact, {elapsed:.1f}s",
+        f"0 violations, boundary cells exact, golden csv {golden_ok}, {elapsed:.1f}s",
     )
     assert ok
     assert elapsed < 600
@@ -119,11 +138,17 @@ def test_criterion_02_unicyclic_theorem_desk_scale():
 
 def test_criterion_03_forest_corollary():
     res = verify_forest_corollary(12, jobs=JOBS)
-    ok = not res.violations and all(
+    golden_ok = _csv_sha256(res.records) == GOLDEN_CSV_SHA256["forest"]
+    ok = golden_ok and not res.violations and all(
         r.status == "holds_sharp" and r.min_mis == g_seq(r.n - r.alpha)
         for r in res.records
     )
-    _report(3, ok, f"forests n<=12: {len(res.records)} cells, min mis = g(n-alpha)")
+    _report(
+        3,
+        ok,
+        f"forests n<=12: {len(res.records)} cells, min mis = g(n-alpha), "
+        f"golden csv {golden_ok}",
+    )
     assert ok
 
 

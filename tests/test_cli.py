@@ -229,6 +229,25 @@ class TestUsage:
     def test_no_command(self, capsys):
         assert main([]) == 2
 
+    def test_verify_above_limit_exits_2_before_scanning(self, capsys, monkeypatch):
+        def scan(*args):
+            raise AssertionError("scanned above the limit")
+
+        monkeypatch.setattr("misbounds.verify._scan_slice", scan)
+        code, out, err = run(capsys, "verify", "--class", "unicyclic", "--max-n", "15",
+                             "--jobs", "1")
+        assert code == 2 and out == ""
+        assert err == "error: order 15 above unicyclic limit 14\n"
+
+    def test_crash_exits_3_not_1(self, capsys, monkeypatch):
+        def crash(g):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr("misbounds.cli.mis_count", crash)
+        code, out, err = run(capsys, "count", C5_G6)
+        assert code == 3 and out == ""
+        assert err == "internal error: RuntimeError: boom\n"
+
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2
 

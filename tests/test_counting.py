@@ -22,7 +22,13 @@ from misbounds.graphs import (
 )
 
 from conftest import graphs, labeled_forests, labeled_trees
-from oracle_helpers import brute_alpha, brute_mis_count, permute
+from oracle_helpers import (
+    brute_alpha,
+    brute_mis_count,
+    permute,
+    pruefer_tree,
+    support_vertex_mis_count,
+)
 
 
 def cycle(n):
@@ -164,6 +170,7 @@ class TestDispatcher:
             a = delete_vertices(g, red.leaves | {red.support})
             b = delete_vertices(g, closed_neighborhood(g, red.support))
             assert mis_count(g) == mis_count(a) + mis_count(b)
+            assert mis_count(g) == support_vertex_mis_count(g) == brute_mis_count(g)
 
     @given(graphs(max_n=9), st.data())
     def test_lemma3_invariant_random(self, g, data):
@@ -208,6 +215,83 @@ class TestOracleEquivalenceFullScale:
                 want = mis_count_bruteforce(g)
                 assert mis_count(g) == want
                 assert sum(1 for _ in mis_enumerate(g)) == want
+
+
+class TestSupportVertexOracle:
+    """The linear-time DP against the paper's support-vertex recursion."""
+
+    def test_every_tree_to_12_and_unicyclic_graph_to_10(self):
+        from misbounds.generate import free_trees, unicyclic_graphs
+
+        cases = [t for n in range(1, 13) for t in free_trees(n)]
+        cases += [g for n in range(3, 11) for g in unicyclic_graphs(n)]
+        assert len(cases) == 987 + 1040
+        for g in cases:
+            assert mis_count(g) == support_vertex_mis_count(g)
+            assert independence_number(g) == max(len(s) for s in mis_enumerate(g))
+
+    def test_components_multiply(self):
+        g = make_graph(9, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 3), (6, 7)])
+        assert mis_count(g) == support_vertex_mis_count(g) == 2 * 3 * 2 * 1
+
+
+class TestNetworkxCrossCheck:
+    """Counts and alpha beyond the brute-force guard, against networkx's
+    maximal cliques of the complement."""
+
+    @staticmethod
+    def _nx_mis_alpha(g):
+        nx = pytest.importorskip("networkx")
+        h = nx.Graph(g.edges())
+        h.add_nodes_from(range(g.order))
+        sizes = [len(c) for c in nx.find_cliques(nx.complement(h))]
+        return len(sizes), max(sizes)
+
+    def test_random_trees_and_unicyclic_graphs_26_to_40(self):
+        import random
+
+        rng = random.Random(20261018)
+        for n in range(26, 41):
+            t = pruefer_tree(tuple(rng.randrange(n) for _ in range(n - 2)), n)
+            u, v = rng.choice(
+                [(u, v) for u in range(n) for v in range(u + 1, n) if not t.has_edge(u, v)]
+            )
+            g = make_graph(n, t.edges() + [(u, v)])
+            assert classify(t).kind == "tree" and classify(g).kind == "unicyclic"
+            for h in (t, g):
+                assert (mis_count(h), independence_number(h)) == self._nx_mis_alpha(h)
+
+
+class TestLongPathsAndCycles:
+    """The DP is iterative: order 10,000 needs no recursion and no memo."""
+
+    N = 10_000
+
+    @staticmethod
+    def _recurrence(a, b, c, n):
+        """Term n of x(k) = x(k-2) + x(k-3) from x(1), x(2), x(3)."""
+        for _ in range(n - 3):
+            a, b, c = b, c, a + b
+        return c
+
+    def test_path_padovan(self):
+        n = self.N
+        assert [self._recurrence(1, 2, 2, k) for k in range(3, 9)] == [
+            mis_count_bruteforce(path(k)) for k in range(3, 9)
+        ]
+        g = path(n)
+        assert mis_count(g) == self._recurrence(1, 2, 2, n)
+        assert independence_number(g) == -(-n // 2)
+
+    def test_cycle_perrin(self):
+        n = self.N
+        # Perrin numbers from P(1), P(2), P(3) = 0, 2, 3
+        assert [self._recurrence(0, 2, 3, k) for k in range(3, 10)] == [
+            mis_count_bruteforce(cycle(k)) for k in range(3, 10)
+        ]
+        g = cycle(n)
+        assert mis_count(g) == self._recurrence(0, 2, 3, n)
+        assert independence_number(g) == n // 2
 
 
 class TestIndependenceNumber:

@@ -7,6 +7,7 @@ import pytest
 from misbounds.bounds import BoundQuery, ell_seq, g_seq, tree_bound, unicyclic_bound
 from misbounds.counting import independence_number, mis_count
 from misbounds.extremal import build_H, build_L, build_star, build_T, build_triangle_star
+from misbounds.generate import FOREST_LIMIT, TREE_LIMIT, UNICYCLIC_LIMIT
 from misbounds.graphs import canonical_form, classify, parse_graph6
 from misbounds.verify import (
     export_certificates,
@@ -177,6 +178,28 @@ class TestForestCorollary:
             byn.setdefault(r.n, set()).add(r.alpha)
         for n in range(1, 7):
             assert byn[n] == set(range(-(-n // 2), n + 1))
+
+
+class TestOrderLimits:
+    """An order above the generator's limit is refused before any scan."""
+
+    @pytest.mark.parametrize(
+        "runner, graph_class, limit",
+        [
+            (verify_tree_theorem, "tree", TREE_LIMIT),
+            (verify_unicyclic_theorem, "unicyclic", UNICYCLIC_LIMIT),
+            (verify_forest_corollary, "forest", FOREST_LIMIT),
+        ],
+    )
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_refused_before_scanning(self, monkeypatch, runner, graph_class, limit, jobs):
+        def scan(*args):
+            raise AssertionError(f"scanned {args} above the limit")
+
+        monkeypatch.setattr("misbounds.verify._scan_slice", scan)
+        with pytest.raises(ValueError) as exc:
+            runner(limit + 1, jobs=jobs)
+        assert str(exc.value) == f"order {limit + 1} above {graph_class} limit {limit}"
 
 
 class TestIndependentCensusReconstruction:
