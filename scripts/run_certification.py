@@ -3,19 +3,20 @@
 
 Covers the three exhaustive bound checks (trees, unicyclic graphs,
 forests), the even-cycle independence claim, the cycle lower bound, and
-the sequence-lemma sweep. Exit code 0 iff nothing is violated.
+the sequence-lemma sweep. Exit codes as for `misbounds`: 0 certified,
+1 violation found, 2 usage or input error, 3 internal error.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
 from pathlib import Path
 
 from misbounds.bounds import sweep_sequence_lemmas
+from misbounds.cli import run_command
 from misbounds.verify import (
     export_certificates,
     verify_claim1,
@@ -23,10 +24,11 @@ from misbounds.verify import (
     verify_forest_corollary,
     verify_tree_theorem,
     verify_unicyclic_theorem,
+    write_json,
 )
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out-dir", default="certificates")
     parser.add_argument("--tree-max-n", type=int, default=14)
@@ -35,8 +37,10 @@ def main() -> int:
     parser.add_argument("--cycle-max-n", type=int, default=40)
     parser.add_argument("--lemma-limit", type=int, default=60)
     parser.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
-    args = parser.parse_args()
+    return run_command(_certify, parser.parse_args(argv))
 
+
+def _certify(args: argparse.Namespace) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     failures = 0
@@ -61,7 +65,7 @@ def main() -> int:
         )
 
     claim = verify_claim1(args.unicyclic_max_n)
-    (out / "claim1.json").write_text(json.dumps(claim.to_dict(), indent=2) + "\n")
+    write_json(str(out / "claim1.json"), claim.to_dict())
     failures += len(claim.violations)
     print(
         f"claim1    n<={claim.n_max}: {claim.graphs_checked} even-cycle graphs, "
@@ -69,7 +73,7 @@ def main() -> int:
     )
 
     cyc = verify_cycle_bound(args.cycle_max_n)
-    (out / "cycle_bound.json").write_text(json.dumps(cyc.to_dict(), indent=2) + "\n")
+    write_json(str(out / "cycle_bound.json"), cyc.to_dict())
     failures += len(cyc.violations)
     print(
         f"cycles    n<={cyc.n_max}: {len(cyc.rows)} orders, equality at "
@@ -77,9 +81,7 @@ def main() -> int:
     )
 
     sweeps = sweep_sequence_lemmas(args.lemma_limit)
-    (out / "lemma_sweep.json").write_text(
-        json.dumps([s.to_dict() for s in sweeps], indent=2) + "\n"
-    )
+    write_json(str(out / "lemma_sweep.json"), [s.to_dict() for s in sweeps])
     bad = sum(len(s.violations) for s in sweeps)
     failures += bad
     total = sum(s.tuples_checked for s in sweeps)

@@ -10,7 +10,6 @@ as one line on stderr, so that it never reads as a violation).
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from typing import Iterator, Optional
@@ -39,6 +38,7 @@ from .verify import (
     verify_forest_corollary,
     verify_tree_theorem,
     verify_unicyclic_theorem,
+    write_json,
 )
 
 
@@ -165,9 +165,7 @@ def _cmd_verify(args) -> int:
             f"violations={len(report.violations)}"
         )
         if args.out:
-            with open(args.out, "w") as fh:
-                json.dump(report.to_dict(), fh, indent=2)
-                fh.write("\n")
+            write_json(args.out, report.to_dict())
         return 1 if report.violations else 0
     if args.graph_class == "cycle":
         report = verify_cycle_bound(args.max_n)
@@ -176,9 +174,7 @@ def _cmd_verify(args) -> int:
             print(f"n={row.n} mis={row.mis} bound={row.bound} {tag}")
         print(f"violations={len(report.violations)}")
         if args.out:
-            with open(args.out, "w") as fh:
-                json.dump(report.to_dict(), fh, indent=2)
-                fh.write("\n")
+            write_json(args.out, report.to_dict())
         return 1 if report.violations else 0
     raise UsageError(f"unknown verify class {args.graph_class!r}")
 
@@ -193,9 +189,7 @@ def _cmd_lemmas(args) -> int:
         )
         bad += len(sweep.violations)
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump([s.to_dict() for s in sweeps], fh, indent=2)
-            fh.write("\n")
+        write_json(args.out, [s.to_dict() for s in sweeps])
     return 1 if bad else 0
 
 
@@ -294,8 +288,14 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    return run_command(args.func, args)
+
+
+def run_command(func, args) -> int:
+    """Run func(args) and return its exit code. An error is reported as
+    one line on stderr: 2 for a usage or input error, 3 for a crash."""
     try:
-        return args.func(args)
+        return func(args)
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -10,12 +10,13 @@ Routes, each checked against the others in the test suite:
   can meet that edge,
 - the cycle recurrence mis(C_n) = mis(C_{n-2}) + mis(C_{n-3}), kept for
   the cycle-bound report,
-- a pivoted branch-and-bound enumerator working on the complement's
-  maximal cliques, the fallback for every other component,
+- a pivoted branch-and-bound walk over the complement's maximal
+  cliques, the route for every other component,
 - a subset-iteration oracle (vectorized with numpy, guarded at n <= 25).
 
-The dispatcher mis_count routes each connected component to the
-cheapest applicable route. All functions are pure; nothing is memoized.
+mis_count and independence_number read one (mis, alpha) pass over the
+components. All functions are pure; nothing is memoized, and only
+mis_enumerate stores maximal sets.
 """
 
 from __future__ import annotations
@@ -60,20 +61,31 @@ def mis_count_bruteforce(g: Graph) -> int:
 
 
 def mis_enumerate(g: Graph) -> Iterator[frozenset[int]]:
-    """Yield every maximal independent set exactly once.
+    """Yield every maximal independent set exactly once, in lexicographic
+    order of the sorted member lists."""
+    found: list[int] = []
+    _clique_walk(g, found)
+    for members in sorted(tuple(_bits(r)) for r in found):
+        yield frozenset(members)
 
-    Maximal independent sets are the maximal cliques of the complement,
-    found by pivoted branch and bound (pivot = most candidates excluded).
-    Sets come out in lexicographic order of their sorted member lists.
-    """
+
+def _clique_walk(g: Graph, found: Optional[list[int]] = None) -> tuple[int, int]:
+    """(count, largest size) of the maximal independent sets of g: the
+    maximal cliques of the complement, walked by pivoted branch and bound
+    (pivot = most candidates excluded). Each set's bitmask is stored only
+    when found is given."""
     n = g.order
     full = (1 << n) - 1
     comp = tuple(full & ~g.adj[v] & ~(1 << v) for v in range(n))
-    found: list[frozenset[int]] = []
+    count = largest = 0
 
     def expand(r: int, p: int, x: int) -> None:
+        nonlocal count, largest
         if p == 0 and x == 0:
-            found.append(frozenset(_bits(r)))
+            count += 1
+            largest = max(largest, r.bit_count())
+            if found is not None:
+                found.append(r)
             return
         pivot_pool = p | x
         pivot = max(_bits(pivot_pool), key=lambda u: (comp[u] & p).bit_count())
@@ -85,8 +97,7 @@ def mis_enumerate(g: Graph) -> Iterator[frozenset[int]]:
             x |= vb
 
     expand(0, full, 0)
-    found.sort(key=lambda s: tuple(sorted(s)))
-    yield from found
+    return count, largest
 
 
 def mis_count_cycle(n: int) -> int:
@@ -114,31 +125,24 @@ def mis_count_forest(g: Graph) -> int:
 
 
 def mis_count(g: Graph) -> int:
-    """Count maximal independent sets of any graph.
-
-    Components multiply. Tree and unicyclic components (bare cycles
-    included) take the linear-time DP; anything else falls back to the
-    enumerator.
-    """
-    total = 1
-    for comp, _ in components(g):
-        pair = _sparse_mis_alpha(comp)
-        total *= pair[0] if pair else sum(1 for _ in mis_enumerate(comp))
-    return total
+    """Count maximal independent sets of any graph."""
+    return _mis_alpha(g)[0]
 
 
 def independence_number(g: Graph) -> int:
-    """Size of a maximum independent set, summed over components.
+    """Size of a maximum independent set of any graph."""
+    return _mis_alpha(g)[1]
 
-    Tree and unicyclic components take the linear-time DP; for anything
-    else the maximum cardinality over the enumerated maximal sets is
-    exact, since every maximum set is maximal.
-    """
-    total = 0
+
+def _mis_alpha(g: Graph) -> tuple[int, int]:
+    """(mis, alpha) over components: counts multiply, alphas add. The
+    walk's largest set is alpha, since every maximum set is maximal."""
+    mis, alpha = 1, 0
     for comp, _ in components(g):
-        pair = _sparse_mis_alpha(comp)
-        total += pair[1] if pair else max(len(s) for s in mis_enumerate(comp))
-    return total
+        m, a = _sparse_mis_alpha(comp) or _clique_walk(comp)
+        mis *= m
+        alpha += a
+    return mis, alpha
 
 
 def _sparse_mis_alpha(c: Graph) -> Optional[tuple[int, int]]:

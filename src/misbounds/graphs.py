@@ -167,20 +167,6 @@ def delete_vertices(g: Graph, s: Iterable[int]) -> Graph:
     return _induced(g, keep)
 
 
-def is_connected(g: Graph) -> bool:
-    if g.order == 0:
-        return True
-    comp = 1
-    frontier = 1
-    while frontier:
-        nxt = 0
-        for v in _bits(frontier):
-            nxt |= g.adj[v]
-        frontier = nxt & ~comp
-        comp |= nxt
-    return comp == (1 << g.order) - 1
-
-
 def _strip_to_cycle(g: Graph) -> list[int]:
     """Vertices left after iteratively removing degree-1 vertices."""
     deg = [g.adj[v].bit_count() for v in range(g.order)]

@@ -370,6 +370,12 @@ def records_from_json(text: str) -> list[VerificationRecord]:
     return out
 
 
+def write_json(path: str, payload) -> None:
+    """Write a report as JSON with a two-space indent and a closing newline."""
+    with open(path, "w") as fh:
+        fh.write(json.dumps(payload, indent=2) + "\n")
+
+
 def export_certificates(
     records: Iterable[VerificationRecord], path: str, fmt: Optional[str] = None
 ) -> str:

@@ -193,6 +193,28 @@ class TestDispatcher:
         want = mis_count_bruteforce(g)
         assert mis_count(g) == want
         assert sum(1 for _ in mis_enumerate(g)) == want
+        assert independence_number(g) == brute_alpha(g)
+
+    def test_other_component_stores_no_sets(self):
+        """A hub joined to 8 disjoint triangles has 3^8 + 1 maximal sets;
+        counting them and finding alpha keeps none of them in memory."""
+        import tracemalloc
+
+        k = 8
+        edges = []
+        for a in range(1, 3 * k, 3):
+            b, c = a + 1, a + 2
+            edges += [(a, b), (b, c), (a, c), (0, a), (0, b), (0, c)]
+        g = make_graph(3 * k + 1, edges)
+        assert classify(g).kind == "other"
+        tracemalloc.start()
+        try:
+            pair = mis_count(g), independence_number(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert pair == (3**k + 1, k)
+        assert peak < 1 << 20
 
     @given(graphs(max_n=8), st.data())
     @settings(max_examples=100)
