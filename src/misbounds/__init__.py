@@ -16,9 +16,7 @@ from .bounds import (
 from .counting import (
     independence_number,
     mis_count,
-    mis_count_bruteforce,
     mis_count_cycle,
-    mis_count_forest,
     mis_enumerate,
 )
 from .extremal import (
@@ -34,7 +32,6 @@ from .extremal import (
 )
 from .generate import (
     GenerationTask,
-    count_stream,
     forests,
     free_trees,
     task_stream,
@@ -44,13 +41,10 @@ from .graphs import (
     Classification,
     Component,
     Graph,
-    SupportReduction,
     canonical_form,
     canonical_graph,
     classify,
     components,
-    delete_vertices,
-    find_support_reduction,
     make_graph,
     parse_graph6,
     to_dot,

@@ -22,12 +22,7 @@ from .bounds import (
     tree_bound,
     unicyclic_bound,
 )
-from .counting import (
-    BRUTEFORCE_LIMIT,
-    independence_number,
-    mis_count,
-    mis_count_bruteforce,
-)
+from .counting import independence_number, mis_count
 from .extremal import ExtremalSpec, build_family, predicted_mis
 from .generate import GenerationTask, task_stream
 from .graphs import classify, parse_dot, parse_graph6, to_dot, write_graph6
@@ -68,15 +63,7 @@ def _inputs(args) -> Iterator[str]:
 
 def _cmd_count(args) -> int:
     for token in _inputs(args):
-        g = parse_graph6(token)
-        if args.oracle:
-            if g.order > BRUTEFORCE_LIMIT:
-                raise UsageError(
-                    f"--oracle is limited to order {BRUTEFORCE_LIMIT}, got {g.order}"
-                )
-            print(mis_count_bruteforce(g))
-        else:
-            print(mis_count(g))
+        print(mis_count(parse_graph6(token)))
     return 0
 
 
@@ -140,7 +127,7 @@ def _cmd_verify(args) -> int:
             "forest": verify_forest_corollary,
             "unicyclic": verify_unicyclic_theorem,
         }[args.graph_class]
-        result = runner(args.max_n, jobs=jobs, keep_all=bool(args.all_witnesses))
+        result = runner(args.max_n, jobs=jobs)
         for r in result.records:
             print(
                 f"class={r.graph_class} n={r.n} alpha={r.alpha} bound={r.bound} "
@@ -217,11 +204,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("count", help="print the number of maximal independent sets")
     add_graph_inputs(p)
-    p.add_argument(
-        "--oracle",
-        action="store_true",
-        help=f"force the 2^n brute-force path (order <= {BRUTEFORCE_LIMIT})",
-    )
     p.set_defaults(func=_cmd_count)
 
     p = sub.add_parser("alpha", help="print the independence number")

@@ -1,6 +1,7 @@
 """Exact counting and enumeration of maximal independent sets.
 
-Routes, each checked against the others in the test suite:
+Routes, each checked in the test suite against oracles that share no
+code with them (tests/oracle_helpers.py):
 
 - trees and forest components: one iterative pass over the rooted tree
   that yields both the maximal-independent-set count and alpha in linear
@@ -11,8 +12,7 @@ Routes, each checked against the others in the test suite:
 - the cycle recurrence mis(C_n) = mis(C_{n-2}) + mis(C_{n-3}), kept for
   the cycle-bound report,
 - a pivoted branch-and-bound walk over the complement's maximal
-  cliques, the route for every other component,
-- a subset-iteration oracle (vectorized with numpy, guarded at n <= 25).
+  cliques, the route for every other component.
 
 mis_count and independence_number read one (mis, alpha) pass over the
 components. All functions are pure; nothing is memoized, and only
@@ -23,41 +23,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Optional, Sequence
 
-import numpy as np
-
 from .graphs import Graph, _bits, classify, components
-
-BRUTEFORCE_LIMIT = 25
-_BRUTE_CHUNK = 1 << 20
-
-
-def mis_count_bruteforce(g: Graph) -> int:
-    """Count maximal independent sets by iterating all 2^n subsets.
-
-    The ground-truth oracle for every other counter. A subset S is
-    counted when no member's neighborhood meets S and the closed
-    neighborhoods of its members cover every vertex.
-    """
-    n = g.order
-    if n > BRUTEFORCE_LIMIT:
-        raise ValueError(f"order {n} exceeds brute-force guard {BRUTEFORCE_LIMIT}")
-    if n == 0:
-        return 1
-    full = np.uint64((1 << n) - 1)
-    masks = [np.uint64(m) for m in g.adj]
-    count = 0
-    for lo in range(0, 1 << n, _BRUTE_CHUNK):
-        hi = min(lo + _BRUTE_CHUNK, 1 << n)
-        idx = np.arange(lo, hi, dtype=np.uint64)
-        viol = np.zeros(idx.shape, dtype=bool)
-        dom = idx.copy()
-        for v in range(n):
-            member = (idx >> np.uint64(v) & np.uint64(1)).astype(bool)
-            if g.adj[v]:
-                viol |= member & ((idx & masks[v]) != 0)
-                dom[member] |= masks[v]
-        count += int(np.count_nonzero(~viol & (dom == full)))
-    return count
 
 
 def mis_enumerate(g: Graph) -> Iterator[frozenset[int]]:
@@ -111,17 +77,6 @@ def mis_count_cycle(n: int) -> int:
     for _ in range(n - 5):
         a, b, c = b, c, a + b
     return c
-
-
-def mis_count_forest(g: Graph) -> int:
-    """Count maximal independent sets of a forest.
-
-    Components multiply; each tree takes one pass of the tree DP.
-    """
-    kind = classify(g).kind
-    if kind not in ("tree", "forest"):
-        raise ValueError(f"mis_count_forest needs a forest, got {kind}")
-    return mis_count(g)
 
 
 def mis_count(g: Graph) -> int:

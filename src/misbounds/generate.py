@@ -245,8 +245,3 @@ def task_stream(task: GenerationTask, unsafe: bool = False) -> Iterator[Graph]:
         want = task.alpha
         stream = (g for g in stream if independence_number(g) == want)
     return stream
-
-
-def count_stream(task: GenerationTask, unsafe: bool = False) -> int:
-    """Consume the task's stream and return how many graphs it yields."""
-    return sum(1 for _ in task_stream(task, unsafe))

@@ -9,10 +9,14 @@ Graph values are immutable; every function here is pure.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from math import isqrt
 from typing import Iterable, Iterator, NamedTuple, Optional
 
-DEFAULT_ISO_LIMIT = 20
+# Largest order canonical_form accepts: the search can be exponential on
+# highly regular graphs, and every class this package scans stays below it.
+ISO_LIMIT = 20
 
 # Cap on stored automorphisms during canonical labeling; only affects
 # pruning strength, never correctness.
@@ -30,9 +34,6 @@ class Graph:
 
     order: int
     adj: tuple[int, ...]
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(_bits(self.adj[v]))
 
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
@@ -81,18 +82,6 @@ class Classification:
     cycle: tuple[int, ...] = ()
     cycle_parity: Optional[str] = None
     component_count: int = 0
-
-
-@dataclass(frozen=True)
-class SupportReduction:
-    """A support vertex y together with its full set Q of leaf neighbors."""
-
-    support: int
-    leaves: frozenset[int]
-
-    @property
-    def leaf_count(self) -> int:
-        return len(self.leaves)
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -160,13 +149,6 @@ def _induced(g: Graph, verts: tuple[int, ...]) -> Graph:
     return Graph(len(verts), tuple(adj))
 
 
-def delete_vertices(g: Graph, s: Iterable[int]) -> Graph:
-    """Induced subgraph on V minus s, relabeled order-preservingly."""
-    drop = set(s)
-    keep = tuple(v for v in range(g.order) if v not in drop)
-    return _induced(g, keep)
-
-
 def _strip_to_cycle(g: Graph) -> list[int]:
     """Vertices left after iteratively removing degree-1 vertices."""
     deg = [g.adj[v].bit_count() for v in range(g.order)]
@@ -227,67 +209,13 @@ def classify(g: Graph) -> Classification:
     return Classification(kind="other", component_count=k)
 
 
-def distance_to_cycle(g: Graph, cycle: Iterable[int]) -> list[int]:
-    """BFS layering from the whole cycle at once; -1 for unreachable."""
-    dist = [-1] * g.order
-    frontier = []
-    for v in cycle:
-        dist[v] = 0
-        frontier.append(v)
-    d = 0
-    while frontier:
-        d += 1
-        nxt = []
-        for v in frontier:
-            for w in _bits(g.adj[v]):
-                if dist[w] < 0:
-                    dist[w] = d
-                    nxt.append(w)
-        frontier = nxt
-    return dist
-
-
-def find_support_reduction(g: Graph) -> Optional[SupportReduction]:
-    """Pick a support vertex and its full leaf set, or None if leafless.
-
-    A support vertex has degree >= 2 and a degree-1 neighbor. For a bare
-    single edge both ends are leaves; the higher-indexed end is treated
-    as the support so recursions over it still terminate. When the graph
-    is unicyclic the chosen support maximizes distance to the cycle
-    (ties to the lowest index); otherwise the lowest index wins.
-    """
-    n = g.order
-    deg = [g.adj[v].bit_count() for v in range(n)]
-    candidates = set()
-    for v in range(n):
-        if deg[v] != 1:
-            continue
-        w = next(_bits(g.adj[v]))
-        if deg[w] >= 2:
-            candidates.add(w)
-        else:
-            candidates.add(max(v, w))
-    if not candidates:
-        return None
-    cls = classify(g)
-    if cls.kind == "unicyclic":
-        dist = distance_to_cycle(g, cls.cycle)
-        y = min(candidates, key=lambda v: (-dist[v], v))
-    else:
-        y = min(candidates)
-    leaves = frozenset(w for w in _bits(g.adj[y]) if deg[w] == 1)
-    return SupportReduction(support=y, leaves=leaves)
-
-
-def closed_neighborhood(g: Graph, v: int) -> frozenset[int]:
-    return frozenset([v, *_bits(g.adj[v])])
-
-
 # ---------------------------------------------------------------------------
 # graph6 encoding (6 bits per character, upper-triangle column order)
 # ---------------------------------------------------------------------------
 
 _G6_HEADER = ">>graph6<<"
+_G6_OUT_OF_RANGE = re.compile(r"[^?-~]")
+_G6_NONZERO = re.compile(r"[^?]")
 
 
 def _g6_size_prefix(n: int) -> str:
@@ -318,15 +246,19 @@ def write_graph6(g: Graph) -> str:
 
 
 def parse_graph6(text: str) -> Graph:
-    """Decode a graph6 string (optional ``>>graph6<<`` header)."""
+    """Decode a graph6 string (optional ``>>graph6<<`` header).
+
+    Only the characters other than ``?`` (six zero bits) are decoded, so
+    a sparse graph parses in time linear in the string and its edges.
+    """
     s = text.strip()
     if s.startswith(_G6_HEADER):
         s = s[len(_G6_HEADER) :]
     if not s:
         raise ValueError("empty graph6 string")
-    for ch in s:
-        if not 63 <= ord(ch) <= 126:
-            raise ValueError(f"character {ch!r} outside graph6 range [63,126]")
+    bad = _G6_OUT_OF_RANGE.search(s)
+    if bad:
+        raise ValueError(f"character {bad.group()!r} outside graph6 range [63,126]")
     if s[0] == "~":
         if len(s) >= 2 and s[1] == "~":
             raise ValueError("8-byte graph6 size form not supported")
@@ -345,19 +277,17 @@ def parse_graph6(text: str) -> Graph:
         raise ValueError("graph6 data shorter than the declared order requires")
     if len(body) > nchars:
         raise ValueError("trailing garbage after graph6 data")
-    bits = []
-    for ch in body:
-        val = ord(ch) - 63
-        for shift in range(5, -1, -1):
-            bits.append(val >> shift & 1)
     adj = [0] * n
-    k = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[k]:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-            k += 1
+    for m in _G6_NONZERO.finditer(body):
+        base = 6 * m.start() + 5
+        for shift in _bits(ord(m.group()) - 63):
+            k = base - shift  # bit k is the pair i < j with k = j(j-1)/2 + i
+            if k >= nbits:  # padding
+                continue
+            j = (1 + isqrt(1 + 8 * k)) // 2
+            i = k - j * (j - 1) // 2
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
     return Graph(n, tuple(adj))
 
 
@@ -374,8 +304,6 @@ def to_dot(g: Graph) -> str:
 
 def parse_dot(text: str) -> Graph:
     """Read the DOT dialect produced by to_dot (vertex and edge lines)."""
-    import re
-
     verts: set[int] = set()
     edges: list[tuple[int, int]] = []
     for raw in text.splitlines():
@@ -537,10 +465,10 @@ class _CanonSearch:
             self._search(child, fixed + [v])
 
 
-def canonical_graph(g: Graph, limit: int = DEFAULT_ISO_LIMIT) -> Graph:
+def canonical_graph(g: Graph) -> Graph:
     """Relabel to the canonical labeling (minimal column-order encoding)."""
-    if g.order > limit:
-        raise ValueError(f"order {g.order} exceeds isomorphism limit {limit}")
+    if g.order > ISO_LIMIT:
+        raise ValueError(f"order {g.order} exceeds isomorphism limit {ISO_LIMIT}")
     if g.order <= 1:
         return g
     lab = _CanonSearch(g).run()
@@ -550,10 +478,10 @@ def canonical_graph(g: Graph, limit: int = DEFAULT_ISO_LIMIT) -> Graph:
     return make_graph(g.order, [(pos[u], pos[v]) for u, v in g.edges()])
 
 
-def canonical_form(g: Graph, limit: int = DEFAULT_ISO_LIMIT) -> bytes:
+def canonical_form(g: Graph) -> bytes:
     """Canonical byte string: equal for two graphs iff they are isomorphic.
 
     The bytes are the graph6 encoding of the canonically relabeled graph,
     so any canonical form can be parsed back into a representative.
     """
-    return write_graph6(canonical_graph(g, limit)).encode("ascii")
+    return write_graph6(canonical_graph(g)).encode("ascii")

@@ -78,11 +78,12 @@ class VerificationRecord:
 
 @dataclass
 class _Bucket:
+    """Minimum count of one alpha, the canonical forms of every graph
+    attaining it, and how many graphs were scanned."""
+
     min_mis: int
-    count: int
-    witness: str
+    forms: list[str]
     scanned: int
-    all_witnesses: Optional[list[str]] = None
 
 
 def _class_stream(graph_class: str, n: int) -> Iterator[Graph]:
@@ -100,7 +101,6 @@ def _scan_slice(
     n: int,
     slice_idx: int,
     slices: int,
-    keep_all: bool,
 ) -> dict[int, _Bucket]:
     """One worker's share of a stream: every slices-th graph from slice_idx.
 
@@ -123,28 +123,18 @@ def _scan_slice(
     buckets: dict[int, _Bucket] = {}
     for alpha, (m, graphs) in tied.items():
         forms = [canonical_form(g).decode("ascii") for g in graphs]
-        buckets[alpha] = _Bucket(
-            m, len(forms), min(forms), scanned[alpha], forms if keep_all else None
-        )
+        buckets[alpha] = _Bucket(m, forms, scanned[alpha])
     return buckets
 
 
 def _merge(dst: dict[int, _Bucket], src: dict[int, _Bucket]) -> None:
     for alpha, b in src.items():
-        a = dst.get(alpha)
-        if a is None:
-            dst[alpha] = b
-            continue
+        a = dst.setdefault(alpha, _Bucket(b.min_mis, [], 0))
         a.scanned += b.scanned
         if b.min_mis < a.min_mis:
-            a.min_mis, a.count, a.witness = b.min_mis, b.count, b.witness
-            a.all_witnesses = b.all_witnesses
-        elif b.min_mis == a.min_mis:
-            a.count += b.count
-            if b.witness < a.witness:
-                a.witness = b.witness
-            if a.all_witnesses is not None and b.all_witnesses is not None:
-                a.all_witnesses += b.all_witnesses
+            a.min_mis, a.forms = b.min_mis, []
+        if b.min_mis == a.min_mis:
+            a.forms += b.forms
 
 
 def _bound_for(graph_class: str, n: int, alpha: int) -> int:
@@ -168,7 +158,6 @@ def _verify_class(
     graph_class: str,
     n_values: Iterable[int],
     jobs: int = 1,
-    keep_all: bool = False,
 ) -> VerifyResult:
     n_values = list(n_values)
     limit = _ORDER_LIMITS[graph_class]
@@ -178,19 +167,20 @@ def _verify_class(
     slices = max(1, jobs)
     for n in n_values:
         for s in range(slices):
-            tasks.append((graph_class, n, s, slices, keep_all))
+            tasks.append((graph_class, n, s, slices))
     if jobs <= 1:
         partials = [_scan_slice(*t) for t in tasks]
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             partials = list(pool.map(_scan_slice_star, tasks))
     merged: dict[int, dict[int, _Bucket]] = {}
-    for (gcls, n, _s, _sl, _k), part in zip(tasks, partials):
+    for (_, n, _, _), part in zip(tasks, partials):
         _merge(merged.setdefault(n, {}), part)
     result = VerifyResult(records=[])
     for n in sorted(merged):
         for alpha in sorted(merged[n]):
             b = merged[n][alpha]
+            forms = sorted(b.forms)
             bound = _bound_for(graph_class, n, alpha)
             if b.min_mis < bound:
                 status = STATUS_VIOLATED
@@ -205,14 +195,13 @@ def _verify_class(
                     alpha=alpha,
                     bound=bound,
                     min_mis=b.min_mis,
-                    minimizer_count=b.count,
-                    witness=b.witness,
+                    minimizer_count=len(forms),
+                    witness=forms[0],
                     graphs_scanned=b.scanned,
                     status=status,
                 )
             )
-            if keep_all and b.all_witnesses is not None:
-                result.all_witnesses[(graph_class, n, alpha)] = sorted(b.all_witnesses)
+            result.all_witnesses[(graph_class, n, alpha)] = forms
     return result
 
 
@@ -220,25 +209,25 @@ def _scan_slice_star(args: tuple) -> dict[int, _Bucket]:
     return _scan_slice(*args)
 
 
-def verify_tree_theorem(n_max: int, jobs: int = 1, keep_all: bool = False) -> VerifyResult:
+def verify_tree_theorem(n_max: int, jobs: int = 1) -> VerifyResult:
     """Check min mis = g(n - alpha) over all trees with 2 <= n <= n_max."""
     if n_max < 2:
         raise ValueError("need n_max >= 2")
-    return _verify_class("tree", range(2, n_max + 1), jobs, keep_all)
+    return _verify_class("tree", range(2, n_max + 1), jobs)
 
 
-def verify_forest_corollary(n_max: int, jobs: int = 1, keep_all: bool = False) -> VerifyResult:
+def verify_forest_corollary(n_max: int, jobs: int = 1) -> VerifyResult:
     """Check min mis = g(n - alpha) over all forests with 1 <= n <= n_max."""
     if n_max < 1:
         raise ValueError("need n_max >= 1")
-    return _verify_class("forest", range(1, n_max + 1), jobs, keep_all)
+    return _verify_class("forest", range(1, n_max + 1), jobs)
 
 
-def verify_unicyclic_theorem(n_max: int, jobs: int = 1, keep_all: bool = False) -> VerifyResult:
+def verify_unicyclic_theorem(n_max: int, jobs: int = 1) -> VerifyResult:
     """Check min mis = t(n, alpha) over all unicyclic graphs, 3 <= n <= n_max."""
     if n_max < 3:
         raise ValueError("need n_max >= 3")
-    return _verify_class("unicyclic", range(3, n_max + 1), jobs, keep_all)
+    return _verify_class("unicyclic", range(3, n_max + 1), jobs)
 
 
 @dataclass

@@ -1,28 +1,62 @@
 """Independent oracles the tests check production code against.
 
-Everything here is deliberately naive: plain subset loops, the paper's
-support-vertex recursion, permutation sweeps, Pruefer decoding, and
-levelwise labeled growth with canonical dedup. None of it shares
-algorithms with the package's counting routes.
+Everything here is deliberately naive: subset loops (one vectorized
+with numpy, one in plain Python), the paper's support-vertex recursion,
+permutation sweeps, Pruefer decoding, and levelwise labeled growth with
+canonical dedup. None of it shares algorithms with the package's
+counting routes, and the package itself does not import this module.
 """
 
 from __future__ import annotations
 
 import bisect
+from dataclasses import dataclass
 from itertools import combinations, permutations, product
+from typing import Iterable, Optional
+
+import numpy as np
 
 from misbounds.counting import mis_count_cycle
 from misbounds.graphs import (
     Graph,
     canonical_form,
     classify,
-    closed_neighborhood,
     components,
-    delete_vertices,
-    find_support_reduction,
     make_graph,
     write_graph6,
 )
+
+BRUTEFORCE_LIMIT = 25
+_BRUTE_CHUNK = 1 << 20
+
+
+def mis_count_bruteforce(g: Graph) -> int:
+    """Count maximal independent sets by iterating all 2^n subsets.
+
+    The ground-truth oracle for every other counter. A subset S is
+    counted when no member's neighborhood meets S and the closed
+    neighborhoods of its members cover every vertex.
+    """
+    n = g.order
+    if n > BRUTEFORCE_LIMIT:
+        raise ValueError(f"order {n} exceeds brute-force guard {BRUTEFORCE_LIMIT}")
+    if n == 0:
+        return 1
+    full = np.uint64((1 << n) - 1)
+    masks = [np.uint64(m) for m in g.adj]
+    count = 0
+    for lo in range(0, 1 << n, _BRUTE_CHUNK):
+        hi = min(lo + _BRUTE_CHUNK, 1 << n)
+        idx = np.arange(lo, hi, dtype=np.uint64)
+        viol = np.zeros(idx.shape, dtype=bool)
+        dom = idx.copy()
+        for v in range(n):
+            member = (idx >> np.uint64(v) & np.uint64(1)).astype(bool)
+            if g.adj[v]:
+                viol |= member & ((idx & masks[v]) != 0)
+                dom[member] |= masks[v]
+        count += int(np.count_nonzero(~viol & (dom == full)))
+    return count
 
 
 def brute_mis_count(g: Graph) -> int:
@@ -69,6 +103,86 @@ def brute_maximal_sets(g: Graph) -> list[frozenset[int]]:
 def brute_alpha(g: Graph) -> int:
     """Max cardinality over brute-forced maximal sets."""
     return max((len(s) for s in brute_maximal_sets(g)), default=0)
+
+
+def _neighbors(g: Graph, v: int) -> list[int]:
+    return [w for w in range(g.order) if g.adj[v] >> w & 1]
+
+
+def delete_vertices(g: Graph, s: Iterable[int]) -> Graph:
+    """Induced subgraph on V minus s, relabeled order-preservingly."""
+    drop = set(s)
+    pos = {v: i for i, v in enumerate(v for v in range(g.order) if v not in drop)}
+    edges = [(pos[u], pos[v]) for u, v in g.edges() if u in pos and v in pos]
+    return make_graph(len(pos), edges)
+
+
+def closed_neighborhood(g: Graph, v: int) -> frozenset[int]:
+    return frozenset([v, *_neighbors(g, v)])
+
+
+@dataclass(frozen=True)
+class SupportReduction:
+    """A support vertex y together with its full set Q of leaf neighbors."""
+
+    support: int
+    leaves: frozenset[int]
+
+    @property
+    def leaf_count(self) -> int:
+        return len(self.leaves)
+
+
+def distance_to_cycle(g: Graph, cycle: Iterable[int]) -> list[int]:
+    """BFS layering from the whole cycle at once; -1 for unreachable."""
+    dist = [-1] * g.order
+    frontier = []
+    for v in cycle:
+        dist[v] = 0
+        frontier.append(v)
+    d = 0
+    while frontier:
+        d += 1
+        nxt = []
+        for v in frontier:
+            for w in _neighbors(g, v):
+                if dist[w] < 0:
+                    dist[w] = d
+                    nxt.append(w)
+        frontier = nxt
+    return dist
+
+
+def find_support_reduction(g: Graph) -> Optional[SupportReduction]:
+    """Pick a support vertex and its full leaf set, or None if leafless.
+
+    A support vertex has degree >= 2 and a degree-1 neighbor. For a bare
+    single edge both ends are leaves; the higher-indexed end is treated
+    as the support so recursions over it still terminate. When the graph
+    is unicyclic the chosen support maximizes distance to the cycle
+    (ties to the lowest index); otherwise the lowest index wins.
+    """
+    n = g.order
+    deg = [g.degree(v) for v in range(n)]
+    candidates = set()
+    for v in range(n):
+        if deg[v] != 1:
+            continue
+        w = _neighbors(g, v)[0]
+        if deg[w] >= 2:
+            candidates.add(w)
+        else:
+            candidates.add(max(v, w))
+    if not candidates:
+        return None
+    cls = classify(g)
+    if cls.kind == "unicyclic":
+        dist = distance_to_cycle(g, cls.cycle)
+        y = min(candidates, key=lambda v: (-dist[v], v))
+    else:
+        y = min(candidates)
+    leaves = frozenset(w for w in _neighbors(g, y) if deg[w] == 1)
+    return SupportReduction(support=y, leaves=leaves)
 
 
 def support_vertex_mis_count(g: Graph) -> int:

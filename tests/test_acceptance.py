@@ -26,7 +26,6 @@ from misbounds.bounds import (
 from misbounds.counting import (
     independence_number,
     mis_count,
-    mis_count_bruteforce,
     mis_count_cycle,
     mis_enumerate,
 )
@@ -43,6 +42,7 @@ from misbounds.verify import (
 
 from oracle_helpers import (
     brute_alpha,
+    mis_count_bruteforce,
     grown_forest_classes,
     grown_tree_classes,
     grown_unicyclic_classes,

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from misbounds.cli import main
 from misbounds.graphs import make_graph, write_graph6
@@ -18,15 +22,6 @@ class TestCount:
     def test_c5(self, capsys):
         code, out, _ = run(capsys, "count", C5_G6)
         assert code == 0 and out == "5\n"
-
-    def test_oracle_flag(self, capsys):
-        code, out, _ = run(capsys, "count", "--oracle", C5_G6)
-        assert code == 0 and out == "5\n"
-
-    def test_oracle_guard(self, capsys):
-        big = write_graph6(make_graph(26, []))
-        code, _, err = run(capsys, "count", "--oracle", big)
-        assert code == 2 and "error" in err
 
     def test_large_graph_without_oracle(self, capsys):
         big = write_graph6(make_graph(30, [(i, i + 1) for i in range(29)]))
@@ -256,3 +251,19 @@ class TestUsage:
         p.write_text("DUW\n")
         code, _, err = run(capsys, "count", "DUW", "--file", str(p))
         assert code == 2 and "not both" in err
+
+
+class TestPackage:
+    def test_import_loads_no_numpy(self):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        code = "import sys, misbounds.cli; print('numpy' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
+
+    def test_count_has_no_oracle_switch(self, capsys):
+        code, out, err = run(capsys, "count", "--oracle", C5_G6)
+        assert code == 2 and out == "" and "--oracle" in err

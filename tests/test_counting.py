@@ -7,24 +7,19 @@ import hypothesis.strategies as st
 from misbounds.counting import (
     independence_number,
     mis_count,
-    mis_count_bruteforce,
     mis_count_cycle,
-    mis_count_forest,
     mis_enumerate,
 )
-from misbounds.graphs import (
-    classify,
-    closed_neighborhood,
-    components,
-    delete_vertices,
-    find_support_reduction,
-    make_graph,
-)
+from misbounds.graphs import classify, components, make_graph
 
 from conftest import graphs, labeled_forests, labeled_trees
 from oracle_helpers import (
     brute_alpha,
     brute_mis_count,
+    closed_neighborhood,
+    delete_vertices,
+    find_support_reduction,
+    mis_count_bruteforce,
     permute,
     pruefer_tree,
     support_vertex_mis_count,
@@ -100,27 +95,23 @@ class TestEnumerate:
 class TestForestCount:
     def test_stars(self):
         for n in range(2, 14):
-            assert mis_count_forest(star(n)) == 2
+            assert mis_count(star(n)) == 2
 
     def test_p5(self):
-        assert mis_count_forest(path(5)) == 4
+        assert mis_count(path(5)) == 4
 
     def test_two_p4s_multiply(self):
         g = make_graph(8, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7)])
-        assert mis_count_forest(g) == 9
+        assert mis_count(g) == 9
 
     def test_base_cases(self):
-        assert mis_count_forest(make_graph(0, [])) == 1
-        assert mis_count_forest(make_graph(1, [])) == 1
-        assert mis_count_forest(path(2)) == 2
-
-    def test_rejects_non_forest(self):
-        with pytest.raises(ValueError):
-            mis_count_forest(cycle(4))
+        assert mis_count(make_graph(0, [])) == 1
+        assert mis_count(make_graph(1, [])) == 1
+        assert mis_count(path(2)) == 2
 
     @given(labeled_forests(max_n=11))
     def test_matches_oracle(self, g):
-        assert mis_count_forest(g) == mis_count_bruteforce(g)
+        assert mis_count(g) == mis_count_bruteforce(g)
 
 
 class TestCycleCount:

@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from misbounds.bounds import ell_seq, g_seq, h_seq
-from misbounds.counting import independence_number, mis_count, mis_count_bruteforce
+from misbounds.counting import independence_number, mis_count
 from misbounds.extremal import (
     ExtremalSpec,
     build_cycle,
@@ -18,11 +18,12 @@ from misbounds.extremal import (
 from misbounds.graphs import (
     canonical_form,
     classify,
-    delete_vertices,
     make_graph,
     parse_graph6,
     write_graph6,
 )
+
+from oracle_helpers import delete_vertices, mis_count_bruteforce
 
 
 def feasible_tree_pairs(n_lo, n_hi):

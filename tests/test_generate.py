@@ -9,7 +9,6 @@ from misbounds.generate import (
     TREE_LIMIT,
     UNICYCLIC_LIMIT,
     GenerationTask,
-    count_stream,
     forests,
     free_trees,
     task_stream,
@@ -25,6 +24,11 @@ from oracle_helpers import (
     labeled_tree_classes,
     labeled_unicyclic_classes,
 )
+
+
+def count_stream(task: GenerationTask) -> int:
+    return sum(1 for _ in task_stream(task))
+
 
 TREE_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106}
 UNI_COUNTS = {3: 1, 4: 2, 5: 5, 6: 13, 7: 33, 8: 89, 9: 240}

@@ -63,7 +63,7 @@ class TestTreeTheorem:
             assert mis_count(w) == r.min_mis
 
     def test_extremal_family_attains_minimum(self):
-        res = verify_tree_theorem(9, keep_all=True)
+        res = verify_tree_theorem(9)
         for r in res.records:
             t = build_T(r.n, r.alpha)
             assert mis_count(t) == r.min_mis
@@ -133,7 +133,7 @@ class TestUnicyclicTheorem:
     def test_extremal_canonical_forms_appear_among_minimizers(self):
         from misbounds.extremal import build_cycle
 
-        res = verify_unicyclic_theorem(9, keep_all=True)
+        res = verify_unicyclic_theorem(9)
         for r in res.records:
             n, alpha = r.n, r.alpha
             if n == 4 and alpha == 2:
