@@ -243,7 +243,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--class", dest="graph_class", required=True,
                    choices=["tree", "forest", "unicyclic", "claim1", "cycle"])
     p.add_argument("--max-n", type=int, required=True)
-    p.add_argument("--jobs", type=int, help="worker processes (default: all cores)")
+    p.add_argument("--jobs", type=int, help="worker processes, at most one per core (default: all cores)")
     p.add_argument("--out", help="write certificates to a .csv or .json file")
     p.add_argument("--all-witnesses",
                    help="stream every minimizer's graph6 to this side file")

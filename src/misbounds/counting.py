@@ -3,16 +3,14 @@
 Routes, each checked in the test suite against oracles that share no
 code with them (tests/oracle_helpers.py):
 
-- trees and forest components: one iterative pass over the rooted tree
-  that yields both the maximal-independent-set count and alpha in linear
-  time (Wilf 1986; Sagan 1988),
-- unicyclic components, bare cycles included: the same pass with one
-  cycle edge deleted, run three times under the three ways a maximal set
-  can meet that edge,
-- the cycle recurrence mis(C_n) = mis(C_{n-2}) + mis(C_{n-3}), kept for
-  the cycle-bound report,
+- a component whose BFS co-tree edges have at most PIN_LIMIT endpoints:
+  one linear pass over the spanning tree (Wilf 1986; Sagan 1988) per
+  independent set of those endpoints, which are pinned in or out; a
+  tree takes one pass and a unicyclic graph three,
 - a pivoted branch-and-bound walk over the complement's maximal
-  cliques, the route for every other component.
+  cliques, the route for every other component,
+- the cycle recurrence mis(C_n) = mis(C_{n-2}) + mis(C_{n-3}), kept for
+  the cycle-bound report.
 
 mis_count and independence_number read one (mis, alpha) pass over the
 components. All functions are pure; nothing is memoized, and only
@@ -21,9 +19,14 @@ mis_enumerate stores maximal sets.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional
 
-from .graphs import Graph, _bits, classify, components
+from .graphs import Graph, _bits, components
+from .graphs import classify  # noqa: F401  bench/child.py traces counting.classify
+
+# Pinned runs cost up to 2^|W| tree passes; at |W| = 8 they tie the clique
+# walk near order 24 (timings in README "Counting routes").
+PIN_LIMIT = 8
 
 
 def mis_enumerate(g: Graph) -> Iterator[frozenset[int]]:
@@ -94,52 +97,50 @@ def _mis_alpha(g: Graph) -> tuple[int, int]:
     walk's largest set is alpha, since every maximum set is maximal."""
     mis, alpha = 1, 0
     for comp, _ in components(g):
-        m, a = _sparse_mis_alpha(comp) or _clique_walk(comp)
+        m, a = _pinned_mis_alpha(comp) or _clique_walk(comp)
         mis *= m
         alpha += a
     return mis, alpha
 
 
-def _sparse_mis_alpha(c: Graph) -> Optional[tuple[int, int]]:
-    """(mis, alpha) of a connected tree or unicyclic graph; None otherwise.
+def _pinned_mis_alpha(c: Graph) -> Optional[tuple[int, int]]:
+    """(mis, alpha) of a connected graph through a BFS spanning tree;
+    None when the co-tree edges have more than PIN_LIMIT endpoints.
 
-    A unicyclic graph loses one cycle edge (u, x) and the tree left is
-    counted three times, once for each way a maximal set meets that
-    edge: u in and x out (x dominated by u), u out (dominated by x) and
-    x in, or both out and each dominated inside the tree.
+    Every maximal set S meets the co-tree endpoints W in an independent
+    set I, so the tree pass runs once per such I with each vertex of W
+    pinned: in S (I), out and dominated across an edge into I, or out
+    and to be dominated inside the tree. mis is the sum of the runs and
+    alpha the largest. A tree takes one run, a unicyclic graph three.
     """
-    cls = classify(c)
-    if cls.kind == "tree":
-        return _tree_pass(*_rooted(c.adj, 0))
-    if cls.kind != "unicyclic":
-        return None
-    u, x = cls.cycle[0], cls.cycle[1]
-    adj = list(c.adj)
-    adj[u] ^= 1 << x
-    adj[x] ^= 1 << u
-    order, parent = _rooted(adj, u)
-    # Pinned states (in_s, out, bare, inc, exc): in S; out and dominated
-    # across the deleted edge; out and to be dominated inside the tree.
-    neg = -c.order
-    s_in, covered, s_out = (1, 0, 0, 1, neg), (0, 1, 0, neg, 0), (0, 1, 1, neg, 0)
-    runs = [
-        _tree_pass(order, parent, ((u, pu), (x, px)))
-        for pu, px in ((s_in, covered), (covered, s_in), (s_out, s_out))
-    ]
-    return sum(m for m, _ in runs), max(a for _, a in runs)
-
-
-def _rooted(adj: Sequence[int], root: int) -> tuple[list[int], list[int]]:
-    """Breadth-first order of a tree from root, and each vertex's parent."""
-    parent = [-1] * len(adj)
-    order = [root]
-    seen = 1 << root
+    adj = c.adj
+    parent = [0] * c.order
+    order = [0]
+    seen = 1
+    ends = []  # co-tree endpoints: a seen neighbour other than the parent
     for v in order:
+        if adj[v] & seen & ~(1 << parent[v]):
+            ends.append(v)
         for w in _bits(adj[v] & ~seen):
             parent[w] = v
             order.append(w)
         seen |= adj[v]
-    return order, parent
+    if len(ends) > PIN_LIMIT:
+        return None
+    picks = [0]  # the independent subsets of ends, grown one vertex at a time
+    for w in ends:
+        picks += [i | 1 << w for i in picks if not adj[w] & i]
+    # Pinned states (in_s, out, bare, inc, exc): in S; out and dominated
+    # across an edge into I; out and to be dominated inside the tree.
+    neg = -c.order
+    s_in, covered, s_out = (1, 0, 0, 1, neg), (0, 1, 0, neg, 0), (0, 1, 1, neg, 0)
+    mis = alpha = 0
+    for i in picks:
+        pins = [(w, s_in if i >> w & 1 else covered if adj[w] & i else s_out) for w in ends]
+        m, a = _tree_pass(order, parent, pins)
+        mis += m
+        alpha = max(alpha, a)
+    return mis, alpha
 
 
 def _tree_pass(

@@ -216,6 +216,7 @@ def classify(g: Graph) -> Classification:
 _G6_HEADER = ">>graph6<<"
 _G6_OUT_OF_RANGE = re.compile(r"[^?-~]")
 _G6_NONZERO = re.compile(r"[^?]")
+_G6_ADD_63 = bytes(range(63, 127)).ljust(256, b"?")  # six data bits -> character
 
 
 def _g6_size_prefix(n: int) -> str:
@@ -227,22 +228,18 @@ def _g6_size_prefix(n: int) -> str:
 
 
 def write_graph6(g: Graph) -> str:
-    """Encode as graph6 text (one-byte size for n <= 62, 4-byte above)."""
+    """Encode as graph6 text (one-byte size for n <= 62, 4-byte above).
+
+    Only the edge bits are set in a zeroed buffer, so a sparse graph is
+    written in time linear in the string.
+    """
     n = g.order
-    bits = []
+    vals = bytearray((n * (n - 1) // 2 + 5) // 6)
     for j in range(1, n):
-        col = g.adj[j]
-        for i in range(j):
-            bits.append(col >> i & 1)
-    chars = []
-    for k in range(0, len(bits), 6):
-        chunk = bits[k : k + 6]
-        chunk += [0] * (6 - len(chunk))
-        val = 0
-        for b in chunk:
-            val = val << 1 | b
-        chars.append(chr(63 + val))
-    return _g6_size_prefix(n) + "".join(chars)
+        for i in _bits(g.adj[j] & ((1 << j) - 1)):
+            k = j * (j - 1) // 2 + i  # bit k is the pair i < j
+            vals[k // 6] |= 32 >> k % 6
+    return _g6_size_prefix(n) + vals.translate(_G6_ADD_63).decode("ascii")
 
 
 def parse_graph6(text: str) -> Graph:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
@@ -163,15 +164,14 @@ def _verify_class(
     limit = _ORDER_LIMITS[graph_class]
     if n_values and max(n_values) > limit:
         raise ValueError(f"order {max(n_values)} above {graph_class} limit {limit}")
-    tasks = []
-    slices = max(1, jobs)
-    for n in n_values:
-        for s in range(slices):
-            tasks.append((graph_class, n, s, slices))
-    if jobs <= 1:
+    # Output does not depend on the slice count; more workers than cores
+    # would only fork idle processes.
+    slices = max(1, min(jobs, os.cpu_count() or 1))
+    tasks = [(graph_class, n, s, slices) for n in n_values for s in range(slices)]
+    if slices == 1:
         partials = [_scan_slice(*t) for t in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=slices) as pool:
             partials = list(pool.map(_scan_slice_star, tasks))
     merged: dict[int, dict[int, _Bucket]] = {}
     for (_, n, _, _), part in zip(tasks, partials):

@@ -32,6 +32,18 @@ def labeled_trees(draw, min_n: int = 1, max_n: int = 10) -> Graph:
 
 
 @st.composite
+def trees_with_extra_edges(draw, max_n: int = 14, max_extra: int = 4) -> Graph:
+    """A labeled tree grown one vertex at a time, plus up to max_extra
+    further edges: connected, with at most max_extra independent cycles."""
+    tree = draw(labeled_trees(max_n=max_n))
+    absent = [e for e in combinations(range(tree.order), 2) if not tree.has_edge(*e)]
+    if not absent:
+        return tree
+    extra = draw(st.lists(st.sampled_from(absent), max_size=max_extra, unique=True))
+    return make_graph(tree.order, tree.edges() + extra)
+
+
+@st.composite
 def labeled_forests(draw, min_n: int = 0, max_n: int = 10) -> Graph:
     n = draw(st.integers(min_value=min_n, max_value=max_n))
     edges = []

@@ -5,6 +5,9 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from misbounds.counting import (
+    PIN_LIMIT,
+    _clique_walk,
+    _pinned_mis_alpha,
     independence_number,
     mis_count,
     mis_count_cycle,
@@ -12,7 +15,7 @@ from misbounds.counting import (
 )
 from misbounds.graphs import classify, components, make_graph
 
-from conftest import graphs, labeled_forests, labeled_trees
+from conftest import graphs, labeled_forests, labeled_trees, trees_with_extra_edges
 from oracle_helpers import (
     brute_alpha,
     brute_mis_count,
@@ -273,6 +276,105 @@ class TestNetworkxCrossCheck:
             assert classify(t).kind == "tree" and classify(g).kind == "unicyclic"
             for h in (t, g):
                 assert (mis_count(h), independence_number(h)) == self._nx_mis_alpha(h)
+
+
+def _tree_plus_edges(rng, n, extra):
+    """A seeded Pruefer tree of order n plus `extra` further edges."""
+    t = pruefer_tree(tuple(rng.randrange(n) for _ in range(n - 2)), n)
+    absent = [(u, v) for u in range(n) for v in range(u + 1, n) if not t.has_edge(u, v)]
+    return make_graph(n, t.edges() + rng.sample(absent, extra))
+
+
+def _chorded_cycle(n, c):
+    return make_graph(n, [(i, (i + 1) % n) for i in range(n)] + [(0, c)])
+
+
+def _chorded_cycle_mis(n, c):
+    """mis of C_n plus the chord (0, c), 2 <= c <= n - 2, by a walk round
+    the cycle that carries, after vertex v, the state (0 dominated, v in
+    S, v dominated); a vertex is dominated when it or a neighbour is in
+    S. Vertex 0 stays open until the walk closes the cycle."""
+    total = 0
+    for in0, inc in ((False, False), (True, False), (False, True)):
+        states = {(in0 or inc, in0, in0 or inc): 1}
+        for v in range(1, n):
+            nxt = {}
+            for (dom0, prev_in, prev_dom), ways in states.items():
+                for in_v in (inc,) if v == c else (False, True):
+                    if in_v and (prev_in or (v == n - 1 and in0)):
+                        continue  # two neighbours in S
+                    if v > 1 and not (prev_dom or in_v):
+                        continue  # v - 1 left undominated
+                    key = (dom0 or (v == 1 and in_v), in_v, in_v or prev_in or (v == c and in0))
+                    nxt[key] = nxt.get(key, 0) + ways
+            states = nxt
+        total += sum(
+            ways
+            for (dom0, last_in, last_dom), ways in states.items()
+            if (last_dom or in0) and (dom0 or last_in)
+        )
+    return total
+
+
+class TestPinnedRoute:
+    """The spanning-tree route with pinned co-tree endpoints, against
+    brute force, the clique walk, networkx and a cycle walk."""
+
+    @pytest.mark.parametrize("extra", range(5))
+    def test_trees_plus_edges_match_brute_force(self, extra):
+        import random
+
+        rng = random.Random(7000 + extra)
+        for n in (6, 10, 14, 18):
+            g = _tree_plus_edges(rng, n, extra)
+            want = (mis_count_bruteforce(g), brute_alpha(g))
+            assert _pinned_mis_alpha(g) == want
+            assert (mis_count(g), independence_number(g)) == want
+
+    @pytest.mark.parametrize("extra, orders", [(2, (26, 35)), (3, (29, 38)), (4, (32, 40))])
+    def test_trees_plus_edges_match_walk_and_networkx(self, extra, orders):
+        import random
+
+        rng = random.Random(8000 + extra)
+        for n in orders:
+            g = _tree_plus_edges(rng, n, extra)
+            want = TestNetworkxCrossCheck._nx_mis_alpha(g)
+            assert _pinned_mis_alpha(g) == _clique_walk(g) == want
+            assert (mis_count(g), independence_number(g)) == want
+
+    @given(trees_with_extra_edges(max_n=11, max_extra=4))
+    def test_grown_trees_match_brute_force(self, g):
+        assert _pinned_mis_alpha(g) == (mis_count_bruteforce(g), brute_alpha(g))
+
+    def test_runs_per_class(self, monkeypatch):
+        """A tree takes one tree pass, a unicyclic graph three."""
+        import misbounds.counting as counting
+
+        runs = []
+        tree_pass = counting._tree_pass
+        monkeypatch.setattr(counting, "_tree_pass", lambda *a: runs.append(1) or tree_pass(*a))
+        for g, want in ((path(9), 1), (cycle(9), 3)):
+            runs.clear()
+            _pinned_mis_alpha(g)
+            assert len(runs) == want
+
+    def test_above_the_cap_takes_the_walk(self):
+        k = make_graph(PIN_LIMIT + 2, [(u, v) for u in range(PIN_LIMIT + 2) for v in range(u)])
+        assert _pinned_mis_alpha(k) is None
+        assert (mis_count(k), independence_number(k)) == (PIN_LIMIT + 2, 1)
+
+    def test_cycle_walk_oracle_small(self):
+        for n in range(4, 13):
+            for c in range(2, n - 1):
+                g = _chorded_cycle(n, c)
+                assert _chorded_cycle_mis(n, c) == brute_mis_count(g)
+                assert brute_alpha(g) == n // 2
+
+    @pytest.mark.parametrize("n, c", [(1000, 500), (1000, 2), (1001, 333), (2000, 1000)])
+    def test_long_cycle_with_chord(self, n, c):
+        g = _chorded_cycle(n, c)
+        assert mis_count(g) == _chorded_cycle_mis(n, c)
+        assert independence_number(g) == n // 2
 
 
 class TestLongPathsAndCycles:

@@ -254,17 +254,22 @@ class TestGraph6:
         assert parse_graph6("A^") == make_graph(2, [])
         assert parse_graph6("A~") == path(2)
 
-    def test_long_sparse_string_parses_to_path(self):
-        # P_3000 written bit by bit, without write_graph6: edge (j-1, j)
-        # is bit j(j-1)/2 + j-1 of the upper triangle in column order
-        n = 3000
+    @staticmethod
+    def _path_graph6_bitwise(n):
+        """P_n written bit by bit, without write_graph6: edge (j-1, j) is
+        bit j(j-1)/2 + j-1 of the upper triangle in column order."""
         vals = bytearray((n * (n - 1) // 2 + 5) // 6)
         for j in range(1, n):
             k = j * (j - 1) // 2 + j - 1
             vals[k // 6] |= 32 >> k % 6
         prefix = "~" + "".join(chr(63 + (n >> s & 63)) for s in (12, 6, 0))
-        text = prefix + "".join(chr(63 + v) for v in vals)
-        assert parse_graph6(text) == path(n)
+        return prefix + "".join(chr(63 + v) for v in vals)
+
+    def test_long_sparse_string_parses_to_path(self):
+        assert parse_graph6(self._path_graph6_bitwise(3000)) == path(3000)
+
+    def test_long_path_writes_bit_by_bit_string(self):
+        assert write_graph6(path(3000)) == self._path_graph6_bitwise(3000)
 
 
 class TestDot:

@@ -202,6 +202,40 @@ class TestOrderLimits:
         assert str(exc.value) == f"order {limit + 1} above {graph_class} limit {limit}"
 
 
+class TestWorkerBound:
+    """A job count above the core count forks no more workers, and makes
+    no more slices, than there are cores."""
+
+    @pytest.mark.parametrize("cores, workers", [(3, 3), (None, None)])
+    def test_jobs_clamped_to_cores(self, monkeypatch, cores, workers):
+        import misbounds.verify as verify
+
+        want = verify_tree_theorem(7, jobs=1).records
+        seen = {"workers": None, "tasks": []}
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                seen["workers"] = max_workers
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                seen["tasks"] = list(tasks)
+                return map(fn, seen["tasks"])
+
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: cores)
+        monkeypatch.setattr(verify, "ProcessPoolExecutor", SerialPool)
+        assert verify_tree_theorem(7, jobs=4096).records == want
+        assert seen["workers"] == workers
+        if workers is not None:
+            orders = {t[1] for t in seen["tasks"]}
+            assert [t[3] for t in seen["tasks"]] == [workers] * workers * len(orders)
+
+
 class TestIndependentCensusReconstruction:
     def test_unicyclic_order9_census_from_pure_python_oracle(self):
         # rebuild the whole (alpha -> min, count) table for order 9 with
