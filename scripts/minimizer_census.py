@@ -13,7 +13,7 @@ import argparse
 import sys
 from collections import Counter, defaultdict
 
-from misbounds.counting import independence_number, mis_count
+from misbounds.counting import mis_alpha
 from misbounds.generate import GenerationTask, task_stream
 
 
@@ -28,7 +28,8 @@ def main() -> int:
     census: dict[int, Counter] = defaultdict(Counter)
     task = GenerationTask(args.graph_class, args.n)
     for g in task_stream(task, unsafe=args.unsafe_large):
-        census[independence_number(g)][mis_count(g)] += 1
+        m, alpha = mis_alpha(g)
+        census[alpha][m] += 1
 
     for alpha in sorted(census):
         row = census[alpha]

@@ -15,6 +15,7 @@ from .bounds import (
 )
 from .counting import (
     independence_number,
+    mis_alpha,
     mis_count,
     mis_count_cycle,
     mis_enumerate,

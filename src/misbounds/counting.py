@@ -12,16 +12,17 @@ code with them (tests/oracle_helpers.py):
 - the cycle recurrence mis(C_n) = mis(C_{n-2}) + mis(C_{n-3}), kept for
   the cycle-bound report.
 
-mis_count and independence_number read one (mis, alpha) pass over the
-components. All functions are pure; nothing is memoized, and only
-mis_enumerate stores maximal sets.
+mis_alpha finds each component by the pinned route's BFS in the graph's
+own labels and relabels only one that takes the walk; mis_count and
+independence_number read it. All functions are pure and nothing is
+memoized; only mis_enumerate stores maximal sets.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator, Optional
 
-from .graphs import Graph, _bits, components
+from .graphs import Graph, _bits, _induced
 from .graphs import classify  # noqa: F401  bench/child.py traces counting.classify
 
 # Pinned runs cost up to 2^|W| tree passes; at |W| = 8 they tie the clique
@@ -84,28 +85,32 @@ def mis_count_cycle(n: int) -> int:
 
 def mis_count(g: Graph) -> int:
     """Count maximal independent sets of any graph."""
-    return _mis_alpha(g)[0]
+    return mis_alpha(g)[0]
 
 
 def independence_number(g: Graph) -> int:
     """Size of a maximum independent set of any graph."""
-    return _mis_alpha(g)[1]
+    return mis_alpha(g)[1]
 
 
-def _mis_alpha(g: Graph) -> tuple[int, int]:
-    """(mis, alpha) over components: counts multiply, alphas add. The
-    walk's largest set is alpha, since every maximum set is maximal."""
+def mis_alpha(g: Graph) -> tuple[int, int]:
+    """(mis, alpha) over components, each walked once: counts multiply and
+    alphas add (the walk's largest set is alpha: maximum sets are maximal)."""
     mis, alpha = 1, 0
-    for comp, _ in components(g):
-        m, a = _pinned_mis_alpha(comp) or _clique_walk(comp)
+    rest = (1 << g.order) - 1
+    while rest:
+        comp, counts = _pinned_mis_alpha(g, (rest & -rest).bit_length() - 1)
+        rest &= ~comp
+        m, a = counts or _clique_walk(_induced(g, tuple(_bits(comp))))
         mis *= m
         alpha += a
     return mis, alpha
 
 
-def _pinned_mis_alpha(c: Graph) -> Optional[tuple[int, int]]:
-    """(mis, alpha) of a connected graph through a BFS spanning tree;
-    None when the co-tree edges have more than PIN_LIMIT endpoints.
+def _pinned_mis_alpha(g: Graph, start: int = 0) -> tuple[int, Optional[tuple[int, int]]]:
+    """(vertex mask, (mis, alpha)) of the component of g holding start,
+    through a BFS spanning tree; the count is None when the co-tree edges
+    have more than PIN_LIMIT endpoints.
 
     Every maximal set S meets the co-tree endpoints W in an independent
     set I, so the tree pass runs once per such I with each vertex of W
@@ -113,40 +118,38 @@ def _pinned_mis_alpha(c: Graph) -> Optional[tuple[int, int]]:
     and to be dominated inside the tree. mis is the sum of the runs and
     alpha the largest. A tree takes one run, a unicyclic graph three.
     """
-    adj = c.adj
-    parent = [0] * c.order
-    order = [0]
-    seen = 1
-    ends = []  # co-tree endpoints: a seen neighbour other than the parent
-    for v in order:
-        if adj[v] & seen & ~(1 << parent[v]):
-            ends.append(v)
+    adj = g.adj
+    order, parent = [start], [0]  # BFS order; order[i]'s parent is order[parent[i]]
+    seen = 1 << start
+    ends = []  # (position, vertex) of each co-tree endpoint: a seen neighbour besides the parent
+    for i, v in enumerate(order):
+        if adj[v] & seen & ~(1 << order[parent[i]]):
+            ends.append((i, v))
         for w in _bits(adj[v] & ~seen):
-            parent[w] = v
             order.append(w)
+            parent.append(i)
         seen |= adj[v]
     if len(ends) > PIN_LIMIT:
-        return None
+        return seen, None
     picks = [0]  # the independent subsets of ends, grown one vertex at a time
-    for w in ends:
+    for _, w in ends:
         picks += [i | 1 << w for i in picks if not adj[w] & i]
     # Pinned states (in_s, out, bare, inc, exc): in S; out and dominated
     # across an edge into I; out and to be dominated inside the tree.
-    neg = -c.order
+    neg = -len(order)
     s_in, covered, s_out = (1, 0, 0, 1, neg), (0, 1, 0, neg, 0), (0, 1, 1, neg, 0)
     mis = alpha = 0
     for i in picks:
-        pins = [(w, s_in if i >> w & 1 else covered if adj[w] & i else s_out) for w in ends]
-        m, a = _tree_pass(order, parent, pins)
+        pins = [(p, s_in if i >> w & 1 else covered if adj[w] & i else s_out) for p, w in ends]
+        m, a = _tree_pass(parent, pins)
         mis += m
         alpha = max(alpha, a)
-    return mis, alpha
+    return seen, (mis, alpha)
 
 
-def _tree_pass(
-    order: list[int], parent: list[int], pins: Iterable[tuple[int, tuple]] = ()
-) -> tuple[int, int]:
-    """(mis, alpha) of a tree by one bottom-up pass, children first.
+def _tree_pass(parent: list[int], pins: Iterable[tuple[int, tuple]] = ()) -> tuple[int, int]:
+    """(mis, alpha) of the tree on vertices 0..n-1 (n = len(parent), root 0,
+    every parent before its children) by one bottom-up pass.
 
     Over the sets S of v's subtree that are independent and in which
     every vertex but v is in S or has a neighbour in S, in_s[v] counts
@@ -156,11 +159,11 @@ def _tree_pass(
     without v. A pin replaces a vertex's starting values; a negative
     alpha value of at most -n marks a choice the pin forbids.
     """
-    n = len(order)
+    n = len(parent)
     in_s, out, bare, inc, exc = [1] * n, [1] * n, [1] * n, [1] * n, [0] * n
     for v, state in pins:
         in_s[v], out[v], bare[v], inc[v], exc[v] = state
-    for v in reversed(order[1:]):
+    for v in range(n - 1, 0, -1):
         p = parent[v]
         dom = out[v] - bare[v]
         in_s[p] *= out[v]
@@ -168,5 +171,4 @@ def _tree_pass(
         bare[p] *= dom
         inc[p] += exc[v]
         exc[p] += max(inc[v], exc[v])
-    r = order[0]
-    return in_s[r] + out[r] - bare[r], max(inc[r], exc[r])
+    return in_s[0] + out[0] - bare[0], max(inc[0], exc[0])

@@ -111,13 +111,16 @@ def free_trees(n: int, unsafe: bool = False) -> Iterator[Graph]:
                 yield make_graph(n, edges)
 
 
-def unicyclic_graphs(n: int, unsafe: bool = False) -> Iterator[Graph]:
-    """One representative per isomorphism class of unicyclic graphs."""
+def unicyclic_graphs(n: int, unsafe: bool = False, cycle: Optional[int] = None) -> Iterator[Graph]:
+    """One representative per isomorphism class of unicyclic graphs, by
+    cycle length; only those whose cycle has length `cycle` if given."""
     if n < 3:
         raise ValueError(f"unicyclic graphs need n >= 3, got {n}")
     if n > UNICYCLIC_LIMIT and not unsafe:
         raise ValueError(f"order {n} above unicyclic limit {UNICYCLIC_LIMIT}")
     for c in range(3, n + 1):
+        if cycle is not None and c != cycle:
+            continue
         for seq in _necklace_sequences(n, c):
             edges = [(i, (i + 1) % c) for i in range(c)]
             nxt = c
@@ -227,20 +230,16 @@ class GenerationTask:
 
 
 def task_stream(task: GenerationTask, unsafe: bool = False) -> Iterator[Graph]:
+    if task.cycle_length is not None and task.graph_class != "unicyclic":
+        raise ValueError("cycle-length filter only applies to unicyclic graphs")
     if task.graph_class == "tree":
         stream: Iterator[Graph] = free_trees(task.order, unsafe)
     elif task.graph_class == "forest":
         stream = forests(task.order, unsafe)
     elif task.graph_class == "unicyclic":
-        stream = unicyclic_graphs(task.order, unsafe)
+        stream = unicyclic_graphs(task.order, unsafe, task.cycle_length)
     else:
         raise ValueError(f"unknown graph class {task.graph_class!r}")
-    if task.cycle_length is not None:
-        if task.graph_class != "unicyclic":
-            raise ValueError("cycle-length filter only applies to unicyclic graphs")
-        from .graphs import classify
-
-        stream = (g for g in stream if len(classify(g).cycle) == task.cycle_length)
     if task.alpha is not None:
         want = task.alpha
         stream = (g for g in stream if independence_number(g) == want)

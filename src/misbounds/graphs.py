@@ -44,14 +44,12 @@ class Graph:
     def edges(self) -> list[tuple[int, int]]:
         """All edges (u, v) with u < v, sorted."""
         out = []
-        for u in range(self.order):
-            rest = self.adj[u] >> (u + 1)
-            v = u + 1
+        for u, mask in enumerate(self.adj):
+            rest = mask >> u + 1 << u + 1  # the neighbours above u, lowest first
             while rest:
-                if rest & 1:
-                    out.append((u, v))
-                rest >>= 1
-                v += 1
+                low = rest & -rest
+                out.append((u, low.bit_length() - 1))
+                rest ^= low
         return out
 
     @property

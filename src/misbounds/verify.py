@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
 from .bounds import BoundQuery, ell_seq, tree_bound, unicyclic_bound
-from .counting import independence_number, mis_count, mis_count_cycle
+from .counting import independence_number, mis_alpha, mis_count_cycle
+from .counting import mis_count  # noqa: F401  bench/child.py traces verify.mis_count
 from .generate import (
     FOREST_LIMIT,
     TREE_LIMIT,
@@ -28,7 +29,7 @@ from .generate import (
     free_trees,
     unicyclic_graphs,
 )
-from .graphs import Graph, canonical_form, classify
+from .graphs import Graph, canonical_form
 
 CSV_COLUMNS = (
     "class",
@@ -113,8 +114,7 @@ def _scan_slice(
     for idx, g in enumerate(_class_stream(graph_class, n)):
         if idx % slices != slice_idx:
             continue
-        alpha = independence_number(g)
-        m = mis_count(g)
+        m, alpha = mis_alpha(g)
         scanned[alpha] = scanned.get(alpha, 0) + 1
         best = tied.get(alpha)
         if best is None or m < best[0]:
@@ -253,12 +253,11 @@ def verify_claim1(n_max: int) -> Claim1Report:
     report = Claim1Report(n_max=n_max, graphs_checked=0)
     for n in range(4, n_max + 1):
         need = -(-n // 2)
-        for g in unicyclic_graphs(n):
-            if classify(g).cycle_parity != "even":
-                continue
-            report.graphs_checked += 1
-            if independence_number(g) < need:
-                report.violations.append(canonical_form(g).decode("ascii"))
+        for c in range(4, n + 1, 2):
+            for g in unicyclic_graphs(n, cycle=c):
+                report.graphs_checked += 1
+                if independence_number(g) < need:
+                    report.violations.append(canonical_form(g).decode("ascii"))
     return report
 
 

@@ -3,14 +3,16 @@
 bench/child.py wraps package names by attribute (for example
 `misbounds.verify.mis_count` and `misbounds.counting.classify`), so a
 refactor that drops or renames one of them makes every traced run die.
-These tests run the child as the benchmark does, in a subprocess, and
-only read bench/.
+These tests check that every wrapped name exists and run the child as
+the benchmark does, in a subprocess; they only read bench/.
 """
 
 from __future__ import annotations
 
+import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -48,7 +50,7 @@ def test_traced_certify(tmp_path):
     proc = _child("certify", str(tmp_path / "out"), "1", "--scope", json.dumps(TINY_SCOPE),
                   "--extras", "--trace", str(spans))
     assert proc.returncode == 0, proc.stderr
-    assert {"counting.alpha", "counting.mis_count", "generate.next"} <= _span_names(spans)
+    assert {"counting.alpha", "graphs.canonical_form", "generate.next"} <= _span_names(spans)
 
 
 def test_traced_count(tmp_path):
@@ -59,3 +61,25 @@ def test_traced_count(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert {"cli.main", "counting.mis_count", "graphs.parse_graph6"} <= _span_names(spans)
     assert len((tmp_path / "out" / "count.txt").read_text().splitlines()) == len(GRAPHS)
+
+
+
+def _wrapped_names() -> set[tuple[str, str]]:
+    """(module, attribute) for every name bench/child.py wraps: direct
+    `tracer.wrap(module, "attr", ...)` calls and the generator loop."""
+    text = CHILD.read_text()
+    pairs = set(re.findall(r'tracer\.wrap(?:_generator)?\((\w+), "(\w+)"', text))
+    for names, alias in re.findall(
+        r"for attr in \(([^)]*)\):\s*tracer\.wrap_generator\((\w+), attr", text
+    ):
+        pairs |= {(alias, name) for name in re.findall(r'"(\w+)"', names)}
+    return {("misbounds." + alias, attr) for alias, attr in pairs}
+
+
+def test_every_wrapped_attribute_exists():
+    wrapped = _wrapped_names()
+    assert {("misbounds.verify", "mis_count"), ("misbounds.verify", "free_trees"),
+            ("misbounds.cli", "parse_graph6"), ("misbounds.counting", "classify")} <= wrapped
+    missing = [(m, a) for m, a in sorted(wrapped)
+               if not callable(getattr(importlib.import_module(m), a, None))]
+    assert missing == []

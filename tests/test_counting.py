@@ -9,6 +9,7 @@ from misbounds.counting import (
     _clique_walk,
     _pinned_mis_alpha,
     independence_number,
+    mis_alpha,
     mis_count,
     mis_count_cycle,
     mis_enumerate,
@@ -328,7 +329,7 @@ class TestPinnedRoute:
         for n in (6, 10, 14, 18):
             g = _tree_plus_edges(rng, n, extra)
             want = (mis_count_bruteforce(g), brute_alpha(g))
-            assert _pinned_mis_alpha(g) == want
+            assert _pinned_mis_alpha(g)[1] == want
             assert (mis_count(g), independence_number(g)) == want
 
     @pytest.mark.parametrize("extra, orders", [(2, (26, 35)), (3, (29, 38)), (4, (32, 40))])
@@ -339,12 +340,12 @@ class TestPinnedRoute:
         for n in orders:
             g = _tree_plus_edges(rng, n, extra)
             want = TestNetworkxCrossCheck._nx_mis_alpha(g)
-            assert _pinned_mis_alpha(g) == _clique_walk(g) == want
+            assert _pinned_mis_alpha(g)[1] == _clique_walk(g) == want
             assert (mis_count(g), independence_number(g)) == want
 
     @given(trees_with_extra_edges(max_n=11, max_extra=4))
     def test_grown_trees_match_brute_force(self, g):
-        assert _pinned_mis_alpha(g) == (mis_count_bruteforce(g), brute_alpha(g))
+        assert _pinned_mis_alpha(g)[1] == (mis_count_bruteforce(g), brute_alpha(g))
 
     def test_runs_per_class(self, monkeypatch):
         """A tree takes one tree pass, a unicyclic graph three."""
@@ -360,7 +361,7 @@ class TestPinnedRoute:
 
     def test_above_the_cap_takes_the_walk(self):
         k = make_graph(PIN_LIMIT + 2, [(u, v) for u in range(PIN_LIMIT + 2) for v in range(u)])
-        assert _pinned_mis_alpha(k) is None
+        assert _pinned_mis_alpha(k)[1] is None
         assert (mis_count(k), independence_number(k)) == (PIN_LIMIT + 2, 1)
 
     def test_cycle_walk_oracle_small(self):
@@ -375,6 +376,94 @@ class TestPinnedRoute:
         g = _chorded_cycle(n, c)
         assert mis_count(g) == _chorded_cycle_mis(n, c)
         assert independence_number(g) == n // 2
+
+
+def _interleaved(rng, n, dense):
+    """A disconnected graph whose components interleave their labels.
+
+    The labels v % 3 != 2 carry, when dense, a K_10 minus three edges on
+    the first ten (more co-tree endpoints than PIN_LIMIT, so it takes the
+    walk) and a path on the rest; otherwise a tree plus two edges. The
+    labels v % 3 == 2 but the last carry a path, closed into a cycle with
+    a chord once it has four vertices, and the last is isolated."""
+    main = [v for v in range(n) if v % 3 != 2]
+    rim = [v for v in range(n) if v % 3 == 2][:-1]
+    if dense:
+        k, tail = main[:10], main[10:]
+        pairs = [(u, v) for i, u in enumerate(k) for v in k[i + 1:]]
+        edges = rng.sample(pairs, len(pairs) - 3) + list(zip(tail, tail[1:]))
+    else:
+        h = _tree_plus_edges(rng, len(main), 2)
+        edges = [(main[u], main[v]) for u, v in h.edges()]
+    edges += list(zip(rim, rim[1:]))
+    if len(rim) >= 4:
+        edges += [(rim[0], rim[-1]), (rim[0], rim[len(rim) // 2])]
+    return make_graph(n, edges)
+
+
+class TestOneBfsRoute:
+    """mis_alpha finds each component by the pinned route's BFS in the
+    graph's own labels and relabels only a component that takes the walk."""
+
+    @pytest.mark.parametrize("dense", [True, False])
+    def test_interleaved_components_match_brute_force(self, dense):
+        import random
+
+        rng = random.Random(9100 + dense)
+        for n in range(8, 19):
+            g = _interleaved(rng, n, dense)
+            assert mis_alpha(g) == (mis_count_bruteforce(g), brute_alpha(g)), n
+
+    @pytest.mark.parametrize("dense", [True, False])
+    def test_interleaved_components_match_networkx(self, dense):
+        import random
+
+        rng = random.Random(9200 + dense)
+        for n in range(26, 41, 2):
+            g = _interleaved(rng, n, dense)
+            assert mis_alpha(g) == TestNetworkxCrossCheck._nx_mis_alpha(g), n
+
+    def test_dense_component_takes_the_walk(self, monkeypatch):
+        """K_10 minus three edges has more than PIN_LIMIT co-tree
+        endpoints, so it alone is relabelled and walked."""
+        import random
+
+        import misbounds.counting as counting
+
+        walked = []
+        walk = counting._clique_walk
+        monkeypatch.setattr(counting, "_clique_walk", lambda c: walked.append(c.order) or walk(c))
+        g = _interleaved(random.Random(9300), 20, True)
+        assert len(components(g)) == 4
+        assert mis_alpha(g) == (mis_count_bruteforce(g), brute_alpha(g))
+        assert walked == [10]
+
+    def test_tree_passes_sized_by_component(self, monkeypatch):
+        """Each pass allocates for its own component, not for the whole
+        graph, so many small components cost linear time."""
+        import misbounds.counting as counting
+
+        sizes = []
+        run = counting._tree_pass
+        monkeypatch.setattr(
+            counting, "_tree_pass", lambda par, pins: sizes.append(len(par)) or run(par, pins)
+        )
+        g = make_graph(3000, [(2 * i, 2 * i + 1) for i in range(1000)])  # 1000 isolated vertices
+        assert mis_alpha(g) == (2**1000, 2000)
+        assert sorted(sizes) == [1] * 1000 + [2] * 1000
+
+    @given(graphs(max_n=12))
+    def test_reads_agree(self, g):
+        assert mis_alpha(g) == (mis_count(g), independence_number(g))
+
+    def test_mask_is_the_component(self):
+        import random
+
+        g = _interleaved(random.Random(9400), 14, False)
+        for comp, verts in components(g):
+            mask, counts = _pinned_mis_alpha(g, verts[0])
+            assert mask == sum(1 << v for v in verts)
+            assert counts is None or counts == mis_alpha(comp)
 
 
 class TestLongPathsAndCycles:

@@ -128,6 +128,14 @@ class TestUnicyclic:
         lengths = {len(classify(g).cycle) for g in unicyclic_graphs(7)}
         assert lengths == set(range(3, 8))
 
+    def test_cycle_argument_matches_classify_filter(self):
+        for n in range(3, 11):
+            every = list(unicyclic_graphs(n))
+            for c in range(0, n + 2):
+                want = [g for g in every if len(classify(g).cycle) == c]
+                assert list(unicyclic_graphs(n, cycle=c)) == want, (n, c)
+                assert bool(want) == (3 <= c <= n)
+
     def test_deterministic_restart(self):
         a = [write_graph6(g) for g in unicyclic_graphs(8)]
         b = [write_graph6(g) for g in unicyclic_graphs(8)]

@@ -147,6 +147,30 @@ class TestSupportReduction:
         assert red.leaves == frozenset({0, 2, 3})
 
 
+class TestEdges:
+    @staticmethod
+    def _edges_bit_by_bit(g):
+        return [(u, v) for u in range(g.order) for v in range(u + 1, g.order) if g.adj[u] >> v & 1]
+
+    def test_matches_bit_by_bit_reference(self):
+        import random
+
+        rng = random.Random(4242)
+        for n in list(range(0, 40)) + list(range(40, 301, 13)):
+            # edges among a random subset of labels, far apart as often as not
+            used = sorted(rng.sample(range(n), rng.randint(0, n)))
+            pairs = [(used[i], used[j]) for i in range(len(used)) for j in range(i)]
+            g = make_graph(n, rng.sample(pairs, min(len(pairs), rng.randint(0, 2 * n))))
+            assert g.edges() == self._edges_bit_by_bit(g), n
+
+    def test_random_tree_of_order_4000(self):
+        import random
+
+        rng = random.Random(4243)
+        built = [(rng.randrange(v), v) for v in range(1, 4000)]
+        assert make_graph(4000, built).edges() == sorted(built)
+
+
 class TestDeleteAndComponents:
     def test_delete_from_cycle(self):
         assert classify(delete_vertices(cycle(4), {0})).kind == "tree"
