@@ -13,8 +13,8 @@ import argparse
 import sys
 from collections import Counter, defaultdict
 
-from misbounds.counting import mis_alpha
-from misbounds.generate import GenerationTask, task_stream
+from misbounds.counting import shape_mis_alpha
+from misbounds.generate import GenerationTask, shape_stream
 
 
 def main() -> int:
@@ -27,8 +27,8 @@ def main() -> int:
 
     census: dict[int, Counter] = defaultdict(Counter)
     task = GenerationTask(args.graph_class, args.n)
-    for g in task_stream(task, unsafe=args.unsafe_large):
-        m, alpha = mis_alpha(g)
+    for shape in shape_stream(task, unsafe=args.unsafe_large):
+        m, alpha = shape_mis_alpha(args.graph_class, shape)
         census[alpha][m] += 1
 
     for alpha in sorted(census):

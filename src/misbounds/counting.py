@@ -14,12 +14,19 @@ code with them (tests/oracle_helpers.py):
 
 mis_alpha finds each component by the pinned route's BFS in the graph's
 own labels and relabels only one that takes the walk; mis_count and
-independence_number read it. All functions are pure and nothing is
-memoized; only mis_enumerate stores maximal sets.
+independence_number read it. Both the tree pass and shape_mis_alpha
+grow a vertex's state one child at a time through _adopt.
+
+shape_mis_alpha counts a generator shape (trees, forests, unicyclic
+graphs) without building its graph. It reads each rooted code's root
+state from _code_state, a cache keyed by (code, pin): at most four
+entries per rooted code that generate's own code tables hold. All
+functions are pure; only mis_enumerate stores maximal sets.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, Iterator, Optional
 
 from .graphs import Graph, _bits, _induced
@@ -28,6 +35,18 @@ from .graphs import classify  # noqa: F401  bench/child.py traces counting.class
 # Pinned runs cost up to 2^|W| tree passes; at |W| = 8 they tie the clique
 # walk near order 24 (timings in README "Counting routes").
 PIN_LIMIT = 8
+
+# A vertex's state (in_s, out, bare, inc, exc) is defined in _adopt. A pin
+# is a starting state: free, in S, out and dominated across an edge into
+# the pinned set, or out and to be dominated inside the tree. _FORBIDDEN
+# marks the alpha choice a pin rules out; it lies below minus any order a
+# Graph can hold, so every sum that takes it in stays negative.
+State = tuple[int, int, int, int, int]
+_FORBIDDEN = -(1 << 32)
+_FREE = (1, 1, 1, 1, 0)
+_S_IN = (1, 0, 0, 1, _FORBIDDEN)
+_COVERED = (0, 1, 0, _FORBIDDEN, 0)
+_S_OUT = (0, 1, 1, _FORBIDDEN, 0)
 
 
 def mis_enumerate(g: Graph) -> Iterator[frozenset[int]]:
@@ -134,41 +153,105 @@ def _pinned_mis_alpha(g: Graph, start: int = 0) -> tuple[int, Optional[tuple[int
     picks = [0]  # the independent subsets of ends, grown one vertex at a time
     for _, w in ends:
         picks += [i | 1 << w for i in picks if not adj[w] & i]
-    # Pinned states (in_s, out, bare, inc, exc): in S; out and dominated
-    # across an edge into I; out and to be dominated inside the tree.
-    neg = -len(order)
-    s_in, covered, s_out = (1, 0, 0, 1, neg), (0, 1, 0, neg, 0), (0, 1, 1, neg, 0)
     mis = alpha = 0
     for i in picks:
-        pins = [(p, s_in if i >> w & 1 else covered if adj[w] & i else s_out) for p, w in ends]
+        pins = [(p, _S_IN if i >> w & 1 else _COVERED if adj[w] & i else _S_OUT) for p, w in ends]
         m, a = _tree_pass(parent, pins)
         mis += m
         alpha = max(alpha, a)
     return seen, (mis, alpha)
 
 
-def _tree_pass(parent: list[int], pins: Iterable[tuple[int, tuple]] = ()) -> tuple[int, int]:
+def _tree_pass(parent: list[int], pins: Iterable[tuple[int, State]] = ()) -> tuple[int, int]:
     """(mis, alpha) of the tree on vertices 0..n-1 (n = len(parent), root 0,
-    every parent before its children) by one bottom-up pass.
+    every parent before its children) by one bottom-up pass: each vertex
+    adopts its children's states. A pin replaces a vertex's starting state.
+    """
+    state = [_FREE] * len(parent)
+    for v, pin in pins:
+        state[v] = pin
+    for v in range(len(parent) - 1, 0, -1):
+        p = parent[v]
+        state[p] = _adopt(state[p], state[v])
+    return _root_mis_alpha(state[0])
+
+
+def _adopt(state: State, child: State) -> State:
+    """The state of a vertex once it gains a child subtree whose root has
+    state `child`.
 
     Over the sets S of v's subtree that are independent and in which
-    every vertex but v is in S or has a neighbour in S, in_s[v] counts
-    those with v in S, out[v] those without, and bare[v] those where no
-    child of v is in S either (v's parent must then be in S). inc[v]
-    and exc[v] are the largest independent sets of the subtree with and
-    without v. A pin replaces a vertex's starting values; a negative
-    alpha value of at most -n marks a choice the pin forbids.
+    every vertex but v is in S or has a neighbour in S, in_s counts those
+    with v in S, out those without, and bare those where no child of v is
+    in S either (v's parent must then be in S). inc and exc are the
+    largest independent sets of the subtree with and without v.
     """
-    n = len(parent)
-    in_s, out, bare, inc, exc = [1] * n, [1] * n, [1] * n, [1] * n, [0] * n
-    for v, state in pins:
-        in_s[v], out[v], bare[v], inc[v], exc[v] = state
-    for v in range(n - 1, 0, -1):
-        p = parent[v]
-        dom = out[v] - bare[v]
-        in_s[p] *= out[v]
-        out[p] *= in_s[v] + dom
-        bare[p] *= dom
-        inc[p] += exc[v]
-        exc[p] += max(inc[v], exc[v])
-    return in_s[0] + out[0] - bare[0], max(inc[0], exc[0])
+    in_s, out, bare, inc, exc = state
+    c_in, c_out, c_bare, c_inc, c_exc = child
+    dom = c_out - c_bare
+    return (in_s * c_out, out * (c_in + dom), bare * dom, inc + c_exc, exc + max(c_inc, c_exc))
+
+
+def _root_mis_alpha(state: State) -> tuple[int, int]:
+    in_s, out, bare, inc, exc = state
+    return in_s + out - bare, max(inc, exc)
+
+
+def shape_mis_alpha(graph_class: str, shape: tuple) -> tuple[int, int]:
+    """(mis, alpha) of the graph that generate builds from `shape`, folded
+    from cached per-code states without building it.
+
+    A tree folds its root's children; a forest multiplies its trees'
+    counts and adds their alphas; a unicyclic graph sums the three runs of
+    _pinned_mis_alpha along its cycle, with the edge from the last cycle
+    vertex back to the first as the co-tree edge.
+    """
+    if graph_class == "tree":
+        return _root_mis_alpha(_tree_state(shape))
+    if graph_class == "forest":
+        mis, alpha = 1, 0
+        for tree in shape:
+            m, a = _root_mis_alpha(_tree_state(tree))
+            mis *= m
+            alpha += a
+        return mis, alpha
+    if graph_class == "unicyclic":
+        return _cycle_mis_alpha(shape)
+    raise ValueError(f"unknown graph class {graph_class!r}")
+
+
+def _tree_state(shape: tuple) -> State:
+    """Root state of a tree shape: (centroid code,) or two half codes
+    whose roots are joined."""
+    if len(shape) == 2:
+        return _adopt(_code_state(shape[0], _FREE), _code_state(shape[1], _FREE))
+    return _fold(_FREE, shape[0])
+
+
+def _cycle_mis_alpha(seq: tuple) -> tuple[int, int]:
+    """Cycle vertex i carries rooted code seq[i]; the spanning tree is the
+    path 0..c-1 rooted at 0, and the pins go on 0 and c-1."""
+    mis = alpha = 0
+    for first, last in ((_S_OUT, _S_OUT), (_S_IN, _COVERED), (_COVERED, _S_IN)):
+        state = _code_state(seq[-1], last)
+        for code in seq[-2:0:-1]:
+            state = _adopt(_code_state(code, _FREE), state)
+        m, a = _root_mis_alpha(_adopt(_code_state(seq[0], first), state))
+        mis += m
+        alpha = max(alpha, a)
+    return mis, alpha
+
+
+@lru_cache(maxsize=None)
+def _code_state(code: tuple, pin: State) -> State:
+    """Root state of a rooted code (generate's nested tuples of child
+    codes) started from `pin`. Shapes reach it only with codes from
+    generate's own rooted-code tables and with four pins, so it holds at
+    most four states per code those tables hold."""
+    return _fold(pin, code)
+
+
+def _fold(state: State, children: tuple) -> State:
+    for child in children:
+        state = _adopt(state, _code_state(child, _FREE))
+    return state

@@ -11,6 +11,13 @@ length c and a sequence of rooted trees hanging off the cycle that is
 canonical (maximal) under the dihedral symmetry of the cycle. Forests
 are non-increasing multisets of free trees whose orders partition n.
 
+Each class has one enumerator, which yields shapes: the generator's own
+canonical codes. A tree is (centroid code,) or (half1, half2) for a
+bicentroid, a unicyclic graph is its necklace of c rooted codes, and a
+forest is its tuple of tree shapes. The graph streams map the class's
+builder over its shapes; counting.shape_mis_alpha counts a shape without
+building it.
+
 Streams are deterministic and restartable: the same order always yields
 the same graphs in the same sequence.
 """
@@ -19,10 +26,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 from typing import Iterator, Optional
 
-from .counting import independence_number
+from .counting import shape_mis_alpha
 from .graphs import Graph, make_graph
 
 TREE_LIMIT = 18
@@ -30,16 +37,14 @@ UNICYCLIC_LIMIT = 14
 FOREST_LIMIT = 16
 
 Code = tuple  # nested tuples; the leaf is ()
-
-
-def _code_size(code: Code) -> int:
-    return 1 + sum(_code_size(child) for child in code)
+Shape = tuple  # a class's own canonical code, see the module docstring
 
 
 @lru_cache(maxsize=None)
 def _code_key(code: Code) -> tuple:
     """Total order on rooted-tree codes: by size, then recursively."""
-    return (_code_size(code), tuple(_code_key(child) for child in code))
+    keys = tuple(_code_key(child) for child in code)
+    return (1 + sum(k[0] for k in keys), keys)
 
 
 @lru_cache(maxsize=None)
@@ -84,49 +89,91 @@ def _add_rooted(
     return next_free
 
 
-def _rooted_graph(code: Code) -> Graph:
+def _add_tree(edges: list[tuple[int, int]], shape: Shape, root: int) -> int:
+    """Wire a tree shape from `root` on; returns the next free index. A
+    second half code hangs at the first index after the first half."""
+    nxt = _add_rooted(edges, shape[0], root, root + 1)
+    if len(shape) == 2:
+        edges.append((root, nxt))
+        nxt = _add_rooted(edges, shape[1], nxt, nxt + 1)
+    return nxt
+
+
+def tree_graph(shape: Shape) -> Graph:
     edges: list[tuple[int, int]] = []
-    n = _add_rooted(edges, code, 0, 1)
-    return make_graph(n, edges)
+    return make_graph(_add_tree(edges, shape, 0), edges)
 
 
-def free_trees(n: int, unsafe: bool = False) -> Iterator[Graph]:
-    """One representative per isomorphism class of trees on n vertices."""
+def unicyclic_graph(shape: Shape) -> Graph:
+    """Cycle vertex i carries the rooted code shape[i]."""
+    c = len(shape)
+    edges = [(i, (i + 1) % c) for i in range(c)]
+    nxt = c
+    for pos, code in enumerate(shape):
+        nxt = _add_rooted(edges, code, pos, nxt)
+    return make_graph(nxt, edges)
+
+
+def forest_graph(shape: Shape) -> Graph:
+    """The trees of the shape side by side, in order."""
+    edges: list[tuple[int, int]] = []
+    nxt = 0
+    for tree in shape:
+        nxt = _add_tree(edges, tree, nxt)
+    return make_graph(nxt, edges)
+
+
+_GRAPH_OF = {"tree": tree_graph, "unicyclic": unicyclic_graph, "forest": forest_graph}
+
+
+def shape_graph(graph_class: str, shape: Shape) -> Graph:
+    """The labelled graph the class's stream yields for `shape`."""
+    return _GRAPH_OF[graph_class](shape)
+
+
+def tree_shapes(n: int, unsafe: bool = False) -> Iterator[Shape]:
+    """One shape per isomorphism class of trees on n vertices: (code,)
+    rooted at the centroid, or (half1, half2) for a bicentroid."""
     if n < 1:
         raise ValueError(f"trees need n >= 1, got {n}")
     if n > TREE_LIMIT and not unsafe:
         raise ValueError(f"order {n} above tree limit {TREE_LIMIT}")
     if n == 1:
-        yield make_graph(1, [])
+        yield ((),)
         return
     for children in _child_multisets(n - 1, (n - 1) // 2, None):
-        yield _rooted_graph(tuple(children))
+        yield (children,)
     if n % 2 == 0:
         halves = rooted_tree_codes(n // 2)
         for i, t1 in enumerate(halves):
             for t2 in halves[i:]:
-                edges = [(0, n // 2)]
-                _add_rooted(edges, t1, 0, 1)
-                _add_rooted(edges, t2, n // 2, n // 2 + 1)
-                yield make_graph(n, edges)
+                yield (t1, t2)
 
 
-def unicyclic_graphs(n: int, unsafe: bool = False, cycle: Optional[int] = None) -> Iterator[Graph]:
-    """One representative per isomorphism class of unicyclic graphs, by
-    cycle length; only those whose cycle has length `cycle` if given."""
+def free_trees(n: int, unsafe: bool = False) -> Iterator[Graph]:
+    """One representative per isomorphism class of trees on n vertices."""
+    return map(tree_graph, tree_shapes(n, unsafe))
+
+
+def unicyclic_shapes(
+    n: int, unsafe: bool = False, cycle: Optional[int] = None
+) -> Iterator[Shape]:
+    """One shape per isomorphism class of unicyclic graphs, by cycle
+    length: the necklace of rooted codes around the cycle; only cycles of
+    length `cycle` if given."""
     if n < 3:
         raise ValueError(f"unicyclic graphs need n >= 3, got {n}")
     if n > UNICYCLIC_LIMIT and not unsafe:
         raise ValueError(f"order {n} above unicyclic limit {UNICYCLIC_LIMIT}")
     for c in range(3, n + 1):
-        if cycle is not None and c != cycle:
-            continue
-        for seq in _necklace_sequences(n, c):
-            edges = [(i, (i + 1) % c) for i in range(c)]
-            nxt = c
-            for pos, code in enumerate(seq):
-                nxt = _add_rooted(edges, code, pos, nxt)
-            yield make_graph(n, edges)
+        if cycle is None or c == cycle:
+            yield from _necklace_sequences(n, c)
+
+
+def unicyclic_graphs(n: int, unsafe: bool = False, cycle: Optional[int] = None) -> Iterator[Graph]:
+    """One representative per isomorphism class of unicyclic graphs, by
+    cycle length; only those whose cycle has length `cycle` if given."""
+    return map(unicyclic_graph, unicyclic_shapes(n, unsafe, cycle))
 
 
 def _necklace_sequences(n: int, c: int) -> Iterator[tuple[Code, ...]]:
@@ -148,7 +195,7 @@ def _necklace_sequences(n: int, c: int) -> Iterator[tuple[Code, ...]]:
         slots_left = c - pos
         max_here = remaining - (slots_left - 1)
         bound_key = _code_key(seq[0])
-        for size in range(min(max_here, _code_size(seq[0])), 0, -1):
+        for size in range(min(max_here, bound_key[0]), 0, -1):
             for code in rooted_tree_codes(size):
                 if _code_key(code) > bound_key:
                     continue
@@ -157,7 +204,7 @@ def _necklace_sequences(n: int, c: int) -> Iterator[tuple[Code, ...]]:
                 seq.pop()
 
     for first in first_choices:
-        yield from extend([first], _code_size(first))
+        yield from extend([first], _code_key(first)[0])
 
 
 def _is_necklace_canonical(seq: tuple[Code, ...]) -> bool:
@@ -171,33 +218,31 @@ def _is_necklace_canonical(seq: tuple[Code, ...]) -> bool:
     return True
 
 
-def forests(n: int, unsafe: bool = False) -> Iterator[Graph]:
-    """One representative per isomorphism class of forests on n vertices,
-    as non-increasing multisets of free trees over partitions of n."""
+def forest_shapes(n: int, unsafe: bool = False) -> Iterator[Shape]:
+    """One shape per isomorphism class of forests on n vertices: a tuple of
+    tree shapes, a non-increasing multiset over a partition of n."""
     if n < 1:
         raise ValueError(f"forests need n >= 1, got {n}")
     if n > FOREST_LIMIT and not unsafe:
         raise ValueError(f"order {n} above forest limit {FOREST_LIMIT}")
     for partition in _partitions_desc(n):
-        sizes = sorted(set(partition), reverse=True)
-        multiplicity = {s: partition.count(s) for s in sizes}
-        pools = [_tree_list(s) for s in sizes]
+        combos = [
+            combinations_with_replacement(_tree_shape_list(s), partition.count(s))
+            for s in sorted(set(partition), reverse=True)
+        ]
+        for parts in product(*combos):
+            yield sum(parts, ())
 
-        def assemble(i: int, chosen: list[Graph]) -> Iterator[Graph]:
-            if i == len(sizes):
-                yield _disjoint_union(chosen)
-                return
-            for combo in combinations_with_replacement(
-                range(len(pools[i])), multiplicity[sizes[i]]
-            ):
-                yield from assemble(i + 1, chosen + [pools[i][j] for j in combo])
 
-        yield from assemble(0, [])
+def forests(n: int, unsafe: bool = False) -> Iterator[Graph]:
+    """One representative per isomorphism class of forests on n vertices,
+    as non-increasing multisets of free trees over partitions of n."""
+    return map(forest_graph, forest_shapes(n, unsafe))
 
 
 @lru_cache(maxsize=None)
-def _tree_list(order: int) -> tuple[Graph, ...]:
-    return tuple(free_trees(order, unsafe=True))
+def _tree_shape_list(order: int) -> tuple[Shape, ...]:
+    return tuple(tree_shapes(order, unsafe=True))
 
 
 def _partitions_desc(n: int, max_part: Optional[int] = None) -> Iterator[tuple[int, ...]]:
@@ -210,15 +255,6 @@ def _partitions_desc(n: int, max_part: Optional[int] = None) -> Iterator[tuple[i
             yield (part,) + rest
 
 
-def _disjoint_union(parts: list[Graph]) -> Graph:
-    edges: list[tuple[int, int]] = []
-    offset = 0
-    for g in parts:
-        edges += [(u + offset, v + offset) for u, v in g.edges()]
-        offset += g.order
-    return make_graph(offset, edges)
-
-
 @dataclass(frozen=True)
 class GenerationTask:
     """A stream request: class, order, optional cycle-length / alpha filters."""
@@ -229,18 +265,24 @@ class GenerationTask:
     alpha: Optional[int] = None
 
 
-def task_stream(task: GenerationTask, unsafe: bool = False) -> Iterator[Graph]:
+def shape_stream(task: GenerationTask, unsafe: bool = False) -> Iterator[Shape]:
+    """The task's shapes; a bad filter or class is refused before any is made."""
     if task.cycle_length is not None and task.graph_class != "unicyclic":
         raise ValueError("cycle-length filter only applies to unicyclic graphs")
     if task.graph_class == "tree":
-        stream: Iterator[Graph] = free_trees(task.order, unsafe)
+        stream: Iterator[Shape] = tree_shapes(task.order, unsafe)
     elif task.graph_class == "forest":
-        stream = forests(task.order, unsafe)
+        stream = forest_shapes(task.order, unsafe)
     elif task.graph_class == "unicyclic":
-        stream = unicyclic_graphs(task.order, unsafe, task.cycle_length)
+        stream = unicyclic_shapes(task.order, unsafe, task.cycle_length)
     else:
         raise ValueError(f"unknown graph class {task.graph_class!r}")
     if task.alpha is not None:
-        want = task.alpha
-        stream = (g for g in stream if independence_number(g) == want)
+        cls, want = task.graph_class, task.alpha
+        stream = (s for s in stream if shape_mis_alpha(cls, s)[1] == want)
     return stream
+
+
+def task_stream(task: GenerationTask, unsafe: bool = False) -> Iterator[Graph]:
+    shapes = shape_stream(task, unsafe)
+    return map(_GRAPH_OF[task.graph_class], shapes)

@@ -16,20 +16,23 @@ import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from itertools import islice
+from typing import Iterable, Optional
 
 from .bounds import BoundQuery, ell_seq, tree_bound, unicyclic_bound
-from .counting import independence_number, mis_alpha, mis_count_cycle
+from .counting import independence_number, mis_count_cycle, shape_mis_alpha
 from .counting import mis_count  # noqa: F401  bench/child.py traces verify.mis_count
 from .generate import (
     FOREST_LIMIT,
     TREE_LIMIT,
     UNICYCLIC_LIMIT,
-    forests,
-    free_trees,
+    GenerationTask,
+    shape_graph,
+    shape_stream,
     unicyclic_graphs,
 )
-from .graphs import Graph, canonical_form
+from .generate import forests, free_trees  # noqa: F401  bench/child.py traces both
+from .graphs import canonical_form
 
 CSV_COLUMNS = (
     "class",
@@ -88,42 +91,32 @@ class _Bucket:
     scanned: int
 
 
-def _class_stream(graph_class: str, n: int) -> Iterator[Graph]:
-    if graph_class == "tree":
-        return free_trees(n)
-    if graph_class == "forest":
-        return forests(n)
-    if graph_class == "unicyclic":
-        return unicyclic_graphs(n)
-    raise ValueError(f"unknown graph class {graph_class!r}")
-
-
 def _scan_slice(
     graph_class: str,
     n: int,
     slice_idx: int,
     slices: int,
 ) -> dict[int, _Bucket]:
-    """One worker's share of a stream: every slices-th graph from slice_idx.
+    """One worker's share of a stream: every slices-th shape from slice_idx.
 
-    Each alpha keeps the graphs tied at its running minimum; only those
-    left when the slice ends are put in canonical form.
+    Each shape is counted without building its graph. Each alpha keeps
+    the shapes tied at its running minimum; only those left when the
+    slice ends are built and put in canonical form.
     """
     scanned: dict[int, int] = {}
-    tied: dict[int, tuple[int, list[Graph]]] = {}
-    for idx, g in enumerate(_class_stream(graph_class, n)):
-        if idx % slices != slice_idx:
-            continue
-        m, alpha = mis_alpha(g)
+    tied: dict[int, tuple[int, list[tuple]]] = {}
+    shapes = shape_stream(GenerationTask(graph_class, n))
+    for shape in islice(shapes, slice_idx, None, slices):
+        m, alpha = shape_mis_alpha(graph_class, shape)
         scanned[alpha] = scanned.get(alpha, 0) + 1
         best = tied.get(alpha)
         if best is None or m < best[0]:
-            tied[alpha] = (m, [g])
+            tied[alpha] = (m, [shape])
         elif m == best[0]:
-            best[1].append(g)
+            best[1].append(shape)
     buckets: dict[int, _Bucket] = {}
-    for alpha, (m, graphs) in tied.items():
-        forms = [canonical_form(g).decode("ascii") for g in graphs]
+    for alpha, (m, survivors) in tied.items():
+        forms = [canonical_form(shape_graph(graph_class, s)).decode("ascii") for s in survivors]
         buckets[alpha] = _Bucket(m, forms, scanned[alpha])
     return buckets
 

@@ -13,6 +13,15 @@ from misbounds.counting import (
     mis_count,
     mis_count_cycle,
     mis_enumerate,
+    shape_mis_alpha,
+)
+from misbounds.generate import (
+    forest_graph,
+    forest_shapes,
+    tree_graph,
+    tree_shapes,
+    unicyclic_graph,
+    unicyclic_shapes,
 )
 from misbounds.graphs import classify, components, make_graph
 
@@ -520,3 +529,38 @@ class TestIndependenceNumber:
     @given(graphs(max_n=10))
     def test_general_matches_brute(self, g):
         assert independence_number(g) == brute_alpha(g)
+
+
+SHAPE_SCOPES = [
+    ("tree", tree_shapes, tree_graph, 12),
+    ("unicyclic", unicyclic_shapes, unicyclic_graph, 10),
+    ("forest", forest_shapes, forest_graph, 10),
+]
+FIRST_ORDER = {"tree": 1, "unicyclic": 3, "forest": 1}
+
+
+class TestShapeRoute:
+    """shape_mis_alpha counts the generator's own codes without building a
+    graph; it must agree with the graph built from the same shape."""
+
+    @pytest.mark.parametrize("cls, shapes, build, n_max", SHAPE_SCOPES)
+    def test_matches_graph_route(self, cls, shapes, build, n_max):
+        for n in range(FIRST_ORDER[cls], n_max + 1):
+            for s in shapes(n):
+                assert shape_mis_alpha(cls, s) == mis_alpha(build(s)), (cls, s)
+
+    @pytest.mark.parametrize("cls, shapes, build, n_max", SHAPE_SCOPES)
+    def test_matches_brute_force(self, cls, shapes, build, n_max):
+        for n in range(FIRST_ORDER[cls], 10):
+            for s in shapes(n):
+                g = build(s)
+                assert shape_mis_alpha(cls, s) == (brute_mis_count(g), brute_alpha(g)), (cls, s)
+
+    def test_bare_cycles_match_recurrence(self):
+        # the Perrin-type recurrence shares no code with the state fold
+        for n in range(3, 41):
+            assert shape_mis_alpha("unicyclic", ((),) * n) == (mis_count_cycle(n), n // 2), n
+
+    def test_unknown_class(self):
+        with pytest.raises(ValueError):
+            shape_mis_alpha("graph", ((),))

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from misbounds.counting import independence_number
@@ -14,7 +16,7 @@ from misbounds.generate import (
     task_stream,
     unicyclic_graphs,
 )
-from misbounds.graphs import canonical_form, classify, write_graph6
+from misbounds.graphs import canonical_form, classify, make_graph, write_graph6
 
 from oracle_helpers import (
     grown_forest_classes,
@@ -218,3 +220,45 @@ class TestTasks:
             task_stream(GenerationTask("tree", 5, cycle_length=3))
         with pytest.raises(ValueError):
             task_stream(GenerationTask("graphs", 5))
+
+
+# sha256 of the newline-joined graph6 lines of each stream. `misbounds
+# enumerate` prints these lines, so the pins hold its labels and order.
+STREAM_DIGESTS = [
+    (free_trees, 12, 551, "d33e74061fce66e3d0afbe228312b709b2cc2e50805dd65d6267f40325eb7f72"),
+    (unicyclic_graphs, 10, 657, "32010179dffbe4329ef1587242c7024319e31d4aad35eea38f5e16679d14f1c8"),
+    (forests, 10, 329, "06e09a03c50a96d727157b018f082e6e5e456f0c1a3884591a9ef02dc851362a"),
+]
+
+
+@pytest.mark.parametrize("stream, n, count, digest", STREAM_DIGESTS)
+def test_stream_labels_and_order_pinned(stream, n, count, digest):
+    lines = [write_graph6(g) for g in stream(n)]
+    assert len(lines) == count
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest
+
+
+class TestNetworkxTrees:
+    """networkx's own tree generator (Wright, Richmond, Odlyzko and McKay)
+    shares no code with the centroid enumeration."""
+
+    @staticmethod
+    def _nx_trees(nx, n):
+        for t in nx.nonisomorphic_trees(n):
+            yield t, make_graph(n, t.edges())
+
+    def test_same_classes_as_networkx(self):
+        nx = pytest.importorskip("networkx")
+        for n in range(2, 11):
+            theirs = [canonical_form(g) for _, g in self._nx_trees(nx, n)]
+            ours = [canonical_form(t) for t in free_trees(n)]
+            assert len(theirs) == len(ours) == TREE_COUNTS[n]
+            assert set(theirs) == set(ours), n
+
+    def test_matched_pairs_isomorphic_in_networkx(self):
+        nx = pytest.importorskip("networkx")
+        for n in range(2, 8):
+            ours = {canonical_form(t): t for t in free_trees(n)}
+            for theirs, g in self._nx_trees(nx, n):
+                mine = ours[canonical_form(g)]
+                assert nx.is_isomorphic(theirs, nx.Graph(list(mine.edges()))), n

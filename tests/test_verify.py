@@ -236,6 +236,24 @@ class TestWorkerBound:
             assert [t[3] for t in seen["tasks"]] == [workers] * workers * len(orders)
 
 
+class TestBuildsOnlyMinimizers:
+    """The scan counts shapes and builds a Graph only for the shapes tied
+    at the minimum when a slice ends: one per minimizer at jobs 1."""
+
+    @pytest.mark.parametrize(
+        "runner, n_max", [(verify_tree_theorem, 10), (verify_unicyclic_theorem, 9)]
+    )
+    def test_make_graph_calls_equal_minimizers(self, monkeypatch, runner, n_max):
+        import misbounds.generate as generate
+
+        calls = []
+        build = generate.make_graph
+        monkeypatch.setattr(generate, "make_graph", lambda *a: calls.append(1) or build(*a))
+        result = runner(n_max, jobs=1)
+        assert len(calls) == sum(r.minimizer_count for r in result.records)
+        assert len(calls) < sum(r.graphs_scanned for r in result.records)
+
+
 class TestIndependentCensusReconstruction:
     def test_unicyclic_order9_census_from_pure_python_oracle(self):
         # rebuild the whole (alpha -> min, count) table for order 9 with
