@@ -4,7 +4,8 @@ how many isomorphism classes hit each count, per independence number.
 
 Useful for eyeballing how far above the certified minimum the bulk of
 the class sits, and for hunting candidate families beyond the known
-minimizers.
+minimizers. Exit codes as for `misbounds`: 0 success, 2 usage or input
+error, 3 internal error.
 """
 
 from __future__ import annotations
@@ -13,18 +14,21 @@ import argparse
 import sys
 from collections import Counter, defaultdict
 
+from misbounds.cli import run_command
 from misbounds.counting import shape_mis_alpha
 from misbounds.generate import GenerationTask, shape_stream
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--class", dest="graph_class", required=True,
                         choices=["tree", "forest", "unicyclic"])
     parser.add_argument("-n", type=int, required=True)
     parser.add_argument("--unsafe-large", action="store_true")
-    args = parser.parse_args()
+    return run_command(_census, parser.parse_args(argv))
 
+
+def _census(args: argparse.Namespace) -> int:
     census: dict[int, Counter] = defaultdict(Counter)
     task = GenerationTask(args.graph_class, args.n)
     for shape in shape_stream(task, unsafe=args.unsafe_large):

@@ -184,9 +184,15 @@ def _cmd_convert(args) -> int:
     if args.to == "dot":
         for token in _inputs(args):
             sys.stdout.write(to_dot(parse_graph6(token)))
+        return 0
+    if args.graphs:
+        raise UsageError("convert --to graph6 reads DOT from --file or stdin, not inline")
+    if args.file:
+        with open(args.file) as fh:
+            text = fh.read()
     else:
-        text = sys.stdin.read() if not args.file else open(args.file).read()
-        print(write_graph6(parse_dot(text)))
+        text = sys.stdin.read()
+    print(write_graph6(parse_dot(text)))
     return 0
 
 
@@ -243,7 +249,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--class", dest="graph_class", required=True,
                    choices=["tree", "forest", "unicyclic", "claim1", "cycle"])
     p.add_argument("--max-n", type=int, required=True)
-    p.add_argument("--jobs", type=int, help="worker processes, at most one per core (default: all cores)")
+    p.add_argument("--jobs", type=int,
+                   help="worker processes, at most one per core and one per order "
+                   "(default: all cores)")
     p.add_argument("--out", help="write certificates to a .csv or .json file")
     p.add_argument("--all-witnesses",
                    help="stream every minimizer's graph6 to this side file")
@@ -275,10 +283,12 @@ def main(argv: Optional[list[str]] = None) -> int:
 
 def run_command(func, args) -> int:
     """Run func(args) and return its exit code. An error is reported as
-    one line on stderr: 2 for a usage or input error, 3 for a crash."""
+    one line on stderr: 2 for a usage or input error (a bad value, or a
+    path that is missing or cannot be opened), 3 for a crash."""
     try:
         return func(args)
-    except (UsageError, ValueError) as exc:
+    except (UsageError, ValueError, FileNotFoundError, IsADirectoryError,
+            NotADirectoryError, PermissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

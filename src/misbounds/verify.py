@@ -3,8 +3,8 @@
 For every order up to a requested maximum, the harness streams the
 isomorph-free graphs of a class, buckets them by independence number,
 and tracks the minimum MIS count per bucket together with how many
-graphs attain it and a canonical witness. Buckets merge by exact
-comparison, so worker count and scheduling never change the output;
+graphs attain it and a canonical witness. Each order is scanned whole
+by one worker, so worker count and scheduling never change the output;
 certificate files are sorted and byte-stable.
 """
 
@@ -16,7 +16,7 @@ import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import repeat
 from typing import Iterable, Optional
 
 from .bounds import BoundQuery, ell_seq, tree_bound, unicyclic_bound
@@ -83,30 +83,24 @@ class VerificationRecord:
 
 @dataclass
 class _Bucket:
-    """Minimum count of one alpha, the canonical forms of every graph
-    attaining it, and how many graphs were scanned."""
+    """Minimum count of one alpha, the sorted canonical forms of every
+    graph attaining it, and how many graphs were scanned."""
 
     min_mis: int
     forms: list[str]
     scanned: int
 
 
-def _scan_slice(
-    graph_class: str,
-    n: int,
-    slice_idx: int,
-    slices: int,
-) -> dict[int, _Bucket]:
-    """One worker's share of a stream: every slices-th shape from slice_idx.
+def _scan_order(graph_class: str, n: int) -> dict[int, _Bucket]:
+    """Scan every shape of one order, bucketed by alpha.
 
     Each shape is counted without building its graph. Each alpha keeps
-    the shapes tied at its running minimum; only those left when the
-    slice ends are built and put in canonical form.
+    the shapes tied at its running minimum; only those left at the end
+    of the order are built and put in canonical form.
     """
     scanned: dict[int, int] = {}
     tied: dict[int, tuple[int, list[tuple]]] = {}
-    shapes = shape_stream(GenerationTask(graph_class, n))
-    for shape in islice(shapes, slice_idx, None, slices):
+    for shape in shape_stream(GenerationTask(graph_class, n)):
         m, alpha = shape_mis_alpha(graph_class, shape)
         scanned[alpha] = scanned.get(alpha, 0) + 1
         best = tied.get(alpha)
@@ -117,18 +111,8 @@ def _scan_slice(
     buckets: dict[int, _Bucket] = {}
     for alpha, (m, survivors) in tied.items():
         forms = [canonical_form(shape_graph(graph_class, s)).decode("ascii") for s in survivors]
-        buckets[alpha] = _Bucket(m, forms, scanned[alpha])
+        buckets[alpha] = _Bucket(m, sorted(forms), scanned[alpha])
     return buckets
-
-
-def _merge(dst: dict[int, _Bucket], src: dict[int, _Bucket]) -> None:
-    for alpha, b in src.items():
-        a = dst.setdefault(alpha, _Bucket(b.min_mis, [], 0))
-        a.scanned += b.scanned
-        if b.min_mis < a.min_mis:
-            a.min_mis, a.forms = b.min_mis, []
-        if b.min_mis == a.min_mis:
-            a.forms += b.forms
 
 
 def _bound_for(graph_class: str, n: int, alpha: int) -> int:
@@ -157,23 +141,20 @@ def _verify_class(
     limit = _ORDER_LIMITS[graph_class]
     if n_values and max(n_values) > limit:
         raise ValueError(f"order {max(n_values)} above {graph_class} limit {limit}")
-    # Output does not depend on the slice count; more workers than cores
-    # would only fork idle processes.
-    slices = max(1, min(jobs, os.cpu_count() or 1))
-    tasks = [(graph_class, n, s, slices) for n in n_values for s in range(slices)]
-    if slices == 1:
-        partials = [_scan_slice(*t) for t in tasks]
+    # One whole order per task, largest first so that the dominant top
+    # order starts first; more workers than cores or orders would idle.
+    workers = min(jobs, os.cpu_count() or 1, len(n_values))
+    if workers <= 1:
+        orders = n_values
+        scans = map(_scan_order, repeat(graph_class), orders)
     else:
-        with ProcessPoolExecutor(max_workers=slices) as pool:
-            partials = list(pool.map(_scan_slice_star, tasks))
-    merged: dict[int, dict[int, _Bucket]] = {}
-    for (_, n, _, _), part in zip(tasks, partials):
-        _merge(merged.setdefault(n, {}), part)
+        orders = sorted(n_values, reverse=True)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            scans = list(pool.map(_scan_order, repeat(graph_class), orders))
+    buckets_by_n = dict(zip(orders, scans))
     result = VerifyResult(records=[])
-    for n in sorted(merged):
-        for alpha in sorted(merged[n]):
-            b = merged[n][alpha]
-            forms = sorted(b.forms)
+    for n in sorted(buckets_by_n):
+        for alpha, b in sorted(buckets_by_n[n].items()):
             bound = _bound_for(graph_class, n, alpha)
             if b.min_mis < bound:
                 status = STATUS_VIOLATED
@@ -188,18 +169,14 @@ def _verify_class(
                     alpha=alpha,
                     bound=bound,
                     min_mis=b.min_mis,
-                    minimizer_count=len(forms),
-                    witness=forms[0],
+                    minimizer_count=len(b.forms),
+                    witness=b.forms[0],
                     graphs_scanned=b.scanned,
                     status=status,
                 )
             )
-            result.all_witnesses[(graph_class, n, alpha)] = forms
+            result.all_witnesses[(graph_class, n, alpha)] = b.forms
     return result
-
-
-def _scan_slice_star(args: tuple) -> dict[int, _Bucket]:
-    return _scan_slice(*args)
 
 
 def verify_tree_theorem(n_max: int, jobs: int = 1) -> VerifyResult:

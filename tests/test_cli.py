@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from misbounds.cli import main
 from misbounds.graphs import make_graph, write_graph6
 
@@ -219,6 +221,27 @@ class TestLemmasConvert:
         code, out, _ = run(capsys, "convert", "--to", "graph6", "--file", str(p))
         assert code == 0 and out.strip() == "DUW"
 
+    def test_convert_to_graph6_closes_its_file(self, capsys, tmp_path, monkeypatch):
+        p = tmp_path / "g.dot"
+        p.write_text("graph {\n  0 -- 1;\n}\n")
+        opened = []
+
+        def tracking_open(*a, **kw):
+            opened.append(open(*a, **kw))
+            return opened[-1]
+
+        monkeypatch.setattr("misbounds.cli.open", tracking_open, raising=False)
+        code, out, _ = run(capsys, "convert", "--to", "graph6", "--file", str(p))
+        assert code == 0 and out == "A_\n"
+        assert len(opened) == 1 and opened[0].closed
+
+    def test_convert_to_graph6_reads_stdin(self, capsys, monkeypatch):
+        import io
+
+        monkeypatch.setattr("sys.stdin", io.StringIO("graph {\n  0 -- 1;\n}\n"))
+        code, out, _ = run(capsys, "convert", "--to", "graph6")
+        assert code == 0 and out == "A_\n"
+
 
 class TestUsage:
     def test_no_command(self, capsys):
@@ -228,7 +251,7 @@ class TestUsage:
         def scan(*args):
             raise AssertionError("scanned above the limit")
 
-        monkeypatch.setattr("misbounds.verify._scan_slice", scan)
+        monkeypatch.setattr("misbounds.verify._scan_order", scan)
         code, out, err = run(capsys, "verify", "--class", "unicyclic", "--max-n", "15",
                              "--jobs", "1")
         assert code == 2 and out == ""
@@ -242,6 +265,54 @@ class TestUsage:
         code, out, err = run(capsys, "count", C5_G6)
         assert code == 3 and out == ""
         assert err == "internal error: RuntimeError: boom\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["count", "--file", "{missing}/x.g6"],
+            ["verify", "--class", "tree", "--max-n", "5", "--jobs", "1",
+             "--out", "{missing}/t.csv"],
+            ["convert", "--to", "graph6", "--file", "{missing}/x.dot"],
+            ["alpha", "--file", "{dir}"],
+            ["count", "--file", "{file}/x.g6"],
+        ],
+        ids=["count-missing", "verify-out-missing-dir", "convert-missing",
+             "alpha-directory", "count-under-a-file"],
+    )
+    def test_unopenable_path_exits_2(self, capsys, tmp_path, argv):
+        (tmp_path / "plain").write_text("DUW\n")
+        paths = {"missing": tmp_path / "missing", "dir": tmp_path, "file": tmp_path / "plain"}
+        code, _, err = run(capsys, *[a.format(**paths) for a in argv])
+        assert code == 2
+        assert err.startswith("error: [Errno ") and err.count("\n") == 1
+
+    def test_permission_denied_exits_2(self, capsys, monkeypatch):
+        def denied(path, *a, **kw):
+            raise PermissionError(13, "Permission denied", path)
+
+        monkeypatch.setattr("misbounds.cli.open", denied, raising=False)
+        code, out, err = run(capsys, "count", "--file", "locked.g6")
+        assert code == 2 and out == ""
+        assert err == "error: [Errno 13] Permission denied: 'locked.g6'\n"
+
+    def test_other_os_error_still_exits_3(self, capsys, monkeypatch):
+        def fork_failed(n_max, jobs=1):
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr("misbounds.cli.verify_tree_theorem", fork_failed)
+        code, out, err = run(capsys, "verify", "--class", "tree", "--max-n", "5")
+        assert code == 3 and out == ""
+        assert err == (
+            "internal error: BlockingIOError: [Errno 11] Resource temporarily unavailable\n"
+        )
+
+    def test_convert_to_graph6_refuses_inline(self, capsys, monkeypatch):
+        import io
+
+        monkeypatch.setattr("sys.stdin", io.StringIO(""))
+        code, out, err = run(capsys, "convert", "--to", "graph6", "graph { 0 -- 1; }")
+        assert code == 2 and out == ""
+        assert err == "error: convert --to graph6 reads DOT from --file or stdin, not inline\n"
 
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2

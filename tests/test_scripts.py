@@ -1,4 +1,5 @@
-"""scripts/run_certification.py: the files it writes and its exit codes."""
+"""scripts/run_certification.py and scripts/minimizer_census.py: what
+they write and their exit codes."""
 
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPT = ROOT / "scripts" / "run_certification.py"
+CENSUS = ROOT / "scripts" / "minimizer_census.py"
 TINY_SCOPE = [
     "--tree-max-n", "5",
     "--unicyclic-max-n", "5",
@@ -27,12 +29,23 @@ NINE_FILES = sorted(
 )
 
 
-@pytest.fixture
-def script():
-    spec = importlib.util.spec_from_file_location("run_certification", SCRIPT)
+def _load(path):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _run_script(path, *argv):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable, str(path), *argv],
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
+@pytest.fixture
+def script():
+    return _load(SCRIPT)
 
 
 def test_tiny_scope_exits_0_and_writes_nine_files(script, tmp_path, capsys):
@@ -46,12 +59,7 @@ def test_tiny_scope_exits_0_and_writes_nine_files(script, tmp_path, capsys):
 
 
 def test_order_above_limit_exits_2_without_traceback(tmp_path):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    proc = subprocess.run(
-        [sys.executable, str(SCRIPT), "--out-dir", str(tmp_path), "--tree-max-n", "19"],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
+    proc = _run_script(SCRIPT, "--out-dir", str(tmp_path), "--tree-max-n", "19")
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == "error: order 19 above tree limit 18\n"
@@ -66,3 +74,19 @@ def test_crash_exits_3_not_1(script, tmp_path, capsys, monkeypatch):
     out, err = capsys.readouterr()
     assert code == 3 and out == ""
     assert err == "internal error: RuntimeError: boom\n"
+
+
+def test_census_tiny_order_exits_0(capsys):
+    assert _load(CENSUS).main(["--class", "tree", "-n", "6"]) == 0
+    assert capsys.readouterr().out == (
+        "alpha=3 min=5 classes=2 | 5:2\n"
+        "alpha=4 min=3 classes=3 | 3:2 4:1\n"
+        "alpha=5 min=2 classes=1 | 2:1\n"
+    )
+
+
+def test_census_order_above_limit_exits_2_without_traceback():
+    proc = _run_script(CENSUS, "--class", "tree", "-n", "19")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: order 19 above tree limit 18\n"

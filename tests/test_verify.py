@@ -147,10 +147,16 @@ class TestUnicyclicTheorem:
             witnesses = res.all_witnesses[("unicyclic", n, alpha)]
             assert canonical_form(family).decode("ascii") in witnesses, (n, alpha)
 
-    def test_jobs_do_not_change_records(self):
-        a = verify_unicyclic_theorem(8, jobs=1)
-        b = verify_unicyclic_theorem(8, jobs=3)
+    @pytest.mark.parametrize(
+        "runner, n_max",
+        [(verify_tree_theorem, 9), (verify_unicyclic_theorem, 8), (verify_forest_corollary, 8)],
+        ids=["tree", "unicyclic", "forest"],
+    )
+    def test_jobs_do_not_change_records(self, runner, n_max):
+        a = runner(n_max, jobs=1)
+        b = runner(n_max, jobs=2)
         assert records_to_csv(a.records) == records_to_csv(b.records)
+        assert a.all_witnesses == b.all_witnesses
 
 
 class TestForestCorollary:
@@ -196,22 +202,22 @@ class TestOrderLimits:
         def scan(*args):
             raise AssertionError(f"scanned {args} above the limit")
 
-        monkeypatch.setattr("misbounds.verify._scan_slice", scan)
+        monkeypatch.setattr("misbounds.verify._scan_order", scan)
         with pytest.raises(ValueError) as exc:
             runner(limit + 1, jobs=jobs)
         assert str(exc.value) == f"order {limit + 1} above {graph_class} limit {limit}"
 
 
 class TestWorkerBound:
-    """A job count above the core count forks no more workers, and makes
-    no more slices, than there are cores."""
+    """A job count above the core count or the order count forks no more
+    workers than either; each order is one task, largest first."""
 
-    @pytest.mark.parametrize("cores, workers", [(3, 3), (None, None)])
+    @pytest.mark.parametrize("cores, workers", [(3, 3), (8, 6), (None, None)])
     def test_jobs_clamped_to_cores(self, monkeypatch, cores, workers):
         import misbounds.verify as verify
 
         want = verify_tree_theorem(7, jobs=1).records
-        seen = {"workers": None, "tasks": []}
+        seen = {"workers": None, "orders": None}
 
         class SerialPool:
             def __init__(self, max_workers):
@@ -223,22 +229,24 @@ class TestWorkerBound:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, tasks):
-                seen["tasks"] = list(tasks)
-                return map(fn, seen["tasks"])
+            def map(self, fn, *iterables):
+                seen["orders"] = list(iterables[1])
+                return map(fn, iterables[0], seen["orders"])
 
         monkeypatch.setattr(verify.os, "cpu_count", lambda: cores)
         monkeypatch.setattr(verify, "ProcessPoolExecutor", SerialPool)
         assert verify_tree_theorem(7, jobs=4096).records == want
         assert seen["workers"] == workers
-        if workers is not None:
-            orders = {t[1] for t in seen["tasks"]}
-            assert [t[3] for t in seen["tasks"]] == [workers] * workers * len(orders)
+        if cores is None:
+            assert seen["orders"] is None
+        else:
+            assert workers == min(4096, cores, len(range(2, 8)))
+            assert seen["orders"] == [7, 6, 5, 4, 3, 2]
 
 
 class TestBuildsOnlyMinimizers:
     """The scan counts shapes and builds a Graph only for the shapes tied
-    at the minimum when a slice ends: one per minimizer at jobs 1."""
+    at the minimum when an order ends: one per minimizer."""
 
     @pytest.mark.parametrize(
         "runner, n_max", [(verify_tree_theorem, 10), (verify_unicyclic_theorem, 9)]
