@@ -17,7 +17,6 @@ from .counting import (
     independence_number,
     mis_alpha,
     mis_count,
-    mis_count_cycle,
     mis_enumerate,
 )
 from .extremal import (

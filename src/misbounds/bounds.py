@@ -10,7 +10,7 @@ floating point is used anywhere.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 BigCount = int
 
@@ -132,11 +132,7 @@ class LemmaSweep:
     violations: list[dict] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "lemma": self.lemma,
-            "tuples_checked": self.tuples_checked,
-            "violations": self.violations,
-        }
+        return asdict(self)
 
 
 def _sweep_pairs(name, lo1, lo2, limit, check) -> LemmaSweep:

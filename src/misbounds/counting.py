@@ -8,9 +8,7 @@ code with them (tests/oracle_helpers.py):
   independent set of those endpoints, which are pinned in or out; a
   tree takes one pass and a unicyclic graph three,
 - a pivoted branch-and-bound walk over the complement's maximal
-  cliques, the route for every other component,
-- the cycle recurrence mis(C_n) = mis(C_{n-2}) + mis(C_{n-3}), kept for
-  the cycle-bound report.
+  cliques, the route for every other component.
 
 mis_alpha finds each component by the pinned route's BFS in the graph's
 own labels and relabels only one that takes the walk; mis_count and
@@ -87,19 +85,6 @@ def _clique_walk(g: Graph, found: Optional[list[int]] = None) -> tuple[int, int]
 
     expand(0, full, 0)
     return count, largest
-
-
-def mis_count_cycle(n: int) -> int:
-    """mis(C_n) via mis(C_n) = mis(C_{n-2}) + mis(C_{n-3})."""
-    if n < 3:
-        raise ValueError(f"cycles need n >= 3, got {n}")
-    vals = {3: 3, 4: 2, 5: 5}
-    if n in vals:
-        return vals[n]
-    a, b, c = 3, 2, 5  # mis(C_{k-3}), mis(C_{k-2}), mis(C_{k-1}) at k=6
-    for _ in range(n - 5):
-        a, b, c = b, c, a + b
-    return c
 
 
 def mis_count(g: Graph) -> int:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .bounds import ell_seq, g_seq, h_seq
-from .counting import mis_count_cycle
+from .counting import mis_count
 from .graphs import Graph, make_graph
 
 FAMILIES = ("T", "H", "L", "star", "cycle", "triangle_star")
@@ -136,25 +136,16 @@ def build_family(spec: ExtremalSpec) -> Graph:
 
 def predicted_mis(spec: ExtremalSpec) -> int:
     """The MIS count each family is built to attain."""
+    g = build_family(spec)  # raises for an infeasible spec
     fam, n = spec.family, spec.n
     if fam == "T":
-        build_T(n, spec.alpha)  # reuse feasibility checks
         return g_seq(n - spec.alpha)
     if fam == "H":
-        build_H(n, spec.alpha)
         return h_seq(n - spec.alpha)
     if fam == "L":
-        if n < 7 or n % 2 == 0:
-            raise ValueError(f"this family needs odd n >= 7, got {n}")
         return ell_seq((n + 1) // 2)
     if fam == "star":
-        if n < 1:
-            raise ValueError(f"stars need n >= 1, got {n}")
         return 2 if n >= 2 else 1
     if fam == "cycle":
-        return mis_count_cycle(n)
-    if fam == "triangle_star":
-        if n < 3:
-            raise ValueError(f"need n >= 3, got {n}")
-        return 3
-    raise ValueError(f"unknown family {fam!r}")
+        return mis_count(g)
+    return 3  # triangle_star

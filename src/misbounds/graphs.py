@@ -298,24 +298,26 @@ def to_dot(g: Graph) -> str:
 
 
 def parse_dot(text: str) -> Graph:
-    """Read the DOT dialect produced by to_dot (vertex and edge lines)."""
+    """Read the DOT dialect produced by to_dot: vertex and edge statements
+    ended by ';' or a line break, on one line or many, inside the
+    `graph {` opener and `}` closer."""
     verts: set[int] = set()
     edges: list[tuple[int, int]] = []
-    for raw in text.splitlines():
-        line = raw.strip().rstrip(";").strip()
-        if not line or line.startswith(("graph", "{", "}")) or line == "}":
+    for raw in re.split(r"[;\n]", re.sub(r"\bgraph\s*\w*\s*\{|\}", "\n", text)):
+        stmt = raw.strip()
+        if not stmt:
             continue
-        m = re.fullmatch(r"(\d+)\s*--\s*(\d+)", line)
+        m = re.fullmatch(r"(\d+)\s*--\s*(\d+)", stmt)
         if m:
             u, v = int(m.group(1)), int(m.group(2))
             verts.update((u, v))
             edges.append((u, v))
             continue
-        m = re.fullmatch(r"(\d+)", line)
+        m = re.fullmatch(r"(\d+)", stmt)
         if m:
             verts.add(int(m.group(1)))
             continue
-        raise ValueError(f"unrecognized DOT line: {raw!r}")
+        raise ValueError(f"unrecognized DOT statement: {stmt!r}")
     order = max(verts) + 1 if verts else 0
     return make_graph(order, edges)
 

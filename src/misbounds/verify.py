@@ -15,12 +15,12 @@ import io
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass, field
 from itertools import repeat
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .bounds import BoundQuery, ell_seq, tree_bound, unicyclic_bound
-from .counting import independence_number, mis_count_cycle, shape_mis_alpha
+from .counting import independence_number, shape_mis_alpha
 from .counting import mis_count  # noqa: F401  bench/child.py traces verify.mis_count
 from .generate import (
     FOREST_LIMIT,
@@ -57,6 +57,7 @@ _ORDER_LIMITS = {"tree": TREE_LIMIT, "unicyclic": UNICYCLIC_LIMIT, "forest": FOR
 class VerificationRecord:
     """Certificate for one (class, n, alpha) cell."""
 
+    # Fields in CSV_COLUMNS order: the CSV and JSON formats read them by position.
     graph_class: str
     n: int
     alpha: int
@@ -68,17 +69,7 @@ class VerificationRecord:
     status: str
 
     def to_dict(self) -> dict:
-        return {
-            "class": self.graph_class,
-            "n": self.n,
-            "alpha": self.alpha,
-            "bound": self.bound,
-            "min_mis": self.min_mis,
-            "minimizer_count": self.minimizer_count,
-            "witness_graph6": self.witness,
-            "graphs_scanned": self.graphs_scanned,
-            "status": self.status,
-        }
+        return dict(zip(CSV_COLUMNS, astuple(self)))
 
 
 @dataclass
@@ -209,12 +200,7 @@ class Claim1Report:
     violations: list[str] = field(default_factory=list)  # graph6 witnesses
 
     def to_dict(self) -> dict:
-        return {
-            "claim": "even_cycle_alpha",
-            "n_max": self.n_max,
-            "graphs_checked": self.graphs_checked,
-            "violations": self.violations,
-        }
+        return {"claim": "even_cycle_alpha", **asdict(self)}
 
 
 def verify_claim1(n_max: int) -> Claim1Report:
@@ -261,10 +247,7 @@ class CycleBoundReport:
         return {
             "claim": "cycle_lower_bound",
             "n_max": self.n_max,
-            "rows": [
-                {"n": r.n, "mis": r.mis, "bound": r.bound, "equality": r.equality}
-                for r in self.rows
-            ],
+            "rows": [{**asdict(r), "equality": r.equality} for r in self.rows],
             "violations": [r.n for r in self.violations],
         }
 
@@ -274,9 +257,8 @@ def verify_cycle_bound(n_max: int) -> CycleBoundReport:
         raise ValueError("need n_max >= 5")
     report = CycleBoundReport(n_max=n_max)
     for n in range(5, n_max + 1):
-        report.rows.append(
-            CycleBoundRow(n=n, mis=mis_count_cycle(n), bound=ell_seq((n + 1) // 2))
-        )
+        mis = shape_mis_alpha("unicyclic", ((),) * n)[0]  # the bare cycle C_n
+        report.rows.append(CycleBoundRow(n=n, mis=mis, bound=ell_seq((n + 1) // 2)))
     return report
 
 
@@ -288,20 +270,7 @@ def records_to_csv(records: Iterable[VerificationRecord]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    for r in _sorted_records(records):
-        writer.writerow(
-            [
-                r.graph_class,
-                r.n,
-                r.alpha,
-                r.bound,
-                r.min_mis,
-                r.minimizer_count,
-                r.witness,
-                r.graphs_scanned,
-                r.status,
-            ]
-        )
+    writer.writerows(astuple(r) for r in _sorted_records(records))
     return buf.getvalue()
 
 
@@ -310,22 +279,7 @@ def records_to_json(records: Iterable[VerificationRecord]) -> str:
 
 
 def records_from_json(text: str) -> list[VerificationRecord]:
-    out = []
-    for d in json.loads(text):
-        out.append(
-            VerificationRecord(
-                graph_class=d["class"],
-                n=d["n"],
-                alpha=d["alpha"],
-                bound=d["bound"],
-                min_mis=d["min_mis"],
-                minimizer_count=d["minimizer_count"],
-                witness=d["witness_graph6"],
-                graphs_scanned=d["graphs_scanned"],
-                status=d["status"],
-            )
-        )
-    return out
+    return [VerificationRecord(*(d[c] for c in CSV_COLUMNS)) for d in json.loads(text)]
 
 
 def write_json(path: str, payload) -> None:
@@ -334,16 +288,10 @@ def write_json(path: str, payload) -> None:
         fh.write(json.dumps(payload, indent=2) + "\n")
 
 
-def export_certificates(
-    records: Iterable[VerificationRecord], path: str, fmt: Optional[str] = None
-) -> str:
-    """Write sorted certificates as CSV or JSON; format from `fmt` or the
-    file extension. Returns the path written."""
-    if fmt is None:
-        fmt = "json" if path.endswith(".json") else "csv"
-    if fmt not in ("csv", "json"):
-        raise ValueError(f"unsupported certificate format {fmt!r}")
-    text = records_to_csv(records) if fmt == "csv" else records_to_json(records)
+def export_certificates(records: Iterable[VerificationRecord], path: str) -> str:
+    """Write sorted certificates as JSON when path ends in .json, else as
+    CSV. Returns the path written."""
+    text = records_to_json(records) if path.endswith(".json") else records_to_csv(records)
     with open(path, "w") as fh:
         fh.write(text)
     return path

@@ -2,7 +2,7 @@
 
 Everything here is deliberately naive: subset loops (one vectorized
 with numpy, one in plain Python), the paper's support-vertex recursion,
-permutation sweeps, Pruefer decoding, and levelwise labeled growth with
+the Perrin-type cycle recurrence, permutation sweeps, Pruefer decoding, and levelwise labeled growth with
 canonical dedup. None of it shares algorithms with the package's
 counting routes, and the package itself does not import this module.
 """
@@ -16,7 +16,6 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from misbounds.counting import mis_count_cycle
 from misbounds.graphs import (
     Graph,
     canonical_form,
@@ -28,6 +27,19 @@ from misbounds.graphs import (
 
 BRUTEFORCE_LIMIT = 25
 _BRUTE_CHUNK = 1 << 20
+
+
+def mis_count_cycle(n: int) -> int:
+    """mis(C_n) via mis(C_n) = mis(C_{n-2}) + mis(C_{n-3})."""
+    if n < 3:
+        raise ValueError(f"cycles need n >= 3, got {n}")
+    vals = {3: 3, 4: 2, 5: 5}
+    if n in vals:
+        return vals[n]
+    a, b, c = 3, 2, 5  # mis(C_{k-3}), mis(C_{k-2}), mis(C_{k-1}) at k=6
+    for _ in range(n - 5):
+        a, b, c = b, c, a + b
+    return c
 
 
 def mis_count_bruteforce(g: Graph) -> int:

@@ -26,7 +26,6 @@ from misbounds.bounds import (
 from misbounds.counting import (
     independence_number,
     mis_count,
-    mis_count_cycle,
     mis_enumerate,
 )
 from misbounds.extremal import build_H, build_L, build_T
@@ -49,6 +48,7 @@ from oracle_helpers import (
     labeled_forest_classes,
     labeled_tree_classes,
     labeled_unicyclic_classes,
+    mis_count_cycle,
 )
 
 RANDOM_SEED = 987654321

@@ -242,6 +242,24 @@ class TestLemmasConvert:
         code, out, _ = run(capsys, "convert", "--to", "graph6")
         assert code == 0 and out == "A_\n"
 
+    @pytest.mark.parametrize("dot, g6", [
+        ("graph { 0 -- 1; }", "A_"),
+        ("0 -- 1; 1 -- 2;", write_graph6(make_graph(3, [(0, 1), (1, 2)]))),
+    ])
+    def test_convert_to_graph6_reads_one_line(self, capsys, tmp_path, dot, g6):
+        p = tmp_path / "g.dot"
+        p.write_text(dot)
+        code, out, _ = run(capsys, "convert", "--to", "graph6", "--file", str(p))
+        assert code == 0 and out == g6 + "\n"
+
+    def test_convert_to_graph6_refuses_other_statements(self, capsys, monkeypatch):
+        import io
+
+        monkeypatch.setattr("sys.stdin", io.StringIO("graph { 0 -> 1; }"))
+        code, out, err = run(capsys, "convert", "--to", "graph6")
+        assert code == 2 and out == ""
+        assert err == "error: unrecognized DOT statement: '0 -> 1'\n"
+
 
 class TestUsage:
     def test_no_command(self, capsys):

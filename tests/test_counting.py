@@ -11,7 +11,6 @@ from misbounds.counting import (
     independence_number,
     mis_alpha,
     mis_count,
-    mis_count_cycle,
     mis_enumerate,
     shape_mis_alpha,
 )
@@ -33,6 +32,7 @@ from oracle_helpers import (
     delete_vertices,
     find_support_reduction,
     mis_count_bruteforce,
+    mis_count_cycle,
     permute,
     pruefer_tree,
     support_vertex_mis_count,

@@ -242,6 +242,11 @@ class TestPredictedMis:
         with pytest.raises(ValueError):
             build_family(ExtremalSpec("T", 8, None))
 
+    @pytest.mark.parametrize("family", ["T", "H"])
+    def test_missing_alpha(self, family):
+        with pytest.raises(ValueError, match=f"family {family} needs an independence number"):
+            predicted_mis(ExtremalSpec(family, 7))
+
 
 class TestSerialization:
     def test_graph6_round_trip_all_families(self):

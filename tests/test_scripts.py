@@ -3,6 +3,7 @@ they write and their exit codes."""
 
 from __future__ import annotations
 
+import hashlib
 import importlib.util
 import json
 import os
@@ -56,6 +57,28 @@ def test_tiny_scope_exits_0_and_writes_nine_files(script, tmp_path, capsys):
     for path in out.glob("*.json"):
         text = path.read_text()
         assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
+# sha256 of every file that run_certification.py writes at its default
+# scope; any refactor of the counting routes or of the certificate and
+# report writers must leave all nine byte-identical.
+DEFAULT_SCOPE_DIGESTS = {
+    "claim1.json": "94a142e7b05a2a6842e0bbe497668b35ed41982610aaae84ddc19e50f10b1ef5",
+    "cycle_bound.json": "871920499629566cdbd7f541a605c337d46216ffdb574487579c2977dcd9d013",
+    "forest.csv": "25d4a006c8572f445234bdb8e7d15e06c97d37525912232c68fe4ea52c54051c",
+    "forest.json": "fd246e238543ac61bfbdaa3ab61f02b9ef47c485e44df1cbb936557fb0b1606d",
+    "lemma_sweep.json": "713a893492e8aaab0a4db4f2d289863fe70e9d5a9ac630b60cde576e4d64656b",
+    "tree.csv": "63784994cfe14b9d7064d279aba7eec9b8fd7309e2d857d5d3222463e579493b",
+    "tree.json": "24e33f195640307e88b97298d64a76b01fe9bc85438474711fa30ea124bb1c11",
+    "unicyclic.csv": "a9062c82c35b0aab834ebd46f19483e62968a6a8569142f290b224f78ec0f274",
+    "unicyclic.json": "81e3966fc8409131de44c9fb395350f2a8d46468ee789fddb034ce53e9535681",
+}
+
+
+def test_default_scope_digests(script, tmp_path):
+    assert script.main(["--out-dir", str(tmp_path), "--jobs", "2"]) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert digests == DEFAULT_SCOPE_DIGESTS
 
 
 def test_order_above_limit_exits_2_without_traceback(tmp_path):

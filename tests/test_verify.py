@@ -10,6 +10,7 @@ from misbounds.extremal import build_H, build_L, build_star, build_T, build_tria
 from misbounds.generate import FOREST_LIMIT, TREE_LIMIT, UNICYCLIC_LIMIT
 from misbounds.graphs import canonical_form, classify, parse_graph6
 from misbounds.verify import (
+    CSV_COLUMNS,
     export_certificates,
     records_from_json,
     records_to_csv,
@@ -332,6 +333,7 @@ class TestClaim1:
         rep = verify_claim1(6)
         d = rep.to_dict()
         assert d["violations"] == [] and d["graphs_checked"] == rep.graphs_checked
+        assert list(d) == ["claim", "n_max", "graphs_checked", "violations"]
 
 
 class TestCycleBound:
@@ -374,6 +376,7 @@ class TestExport:
         assert back == sorted(
             res.records, key=lambda r: (r.graph_class, r.n, r.alpha)
         )
+        assert all(list(d) == list(CSV_COLUMNS) for d in json.loads(text))
 
     def test_export_files(self, tmp_path):
         res = verify_tree_theorem(5)
@@ -383,10 +386,6 @@ class TestExport:
         assert records_from_json(open(json_path).read()) == records_from_json(
             records_to_json(res.records)
         )
-
-    def test_bad_format(self, tmp_path):
-        with pytest.raises(ValueError):
-            export_certificates([], str(tmp_path / "x.txt"), fmt="yaml")
 
     def test_json_rejects_then_csv_default(self, tmp_path):
         path = export_certificates([], str(tmp_path / "plain.out"))
