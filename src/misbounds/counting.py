@@ -3,10 +3,11 @@
 Routes, each checked in the test suite against oracles that share no
 code with them (tests/oracle_helpers.py):
 
-- a component whose BFS co-tree edges have at most PIN_LIMIT endpoints:
-  one linear pass over the spanning tree (Wilf 1986; Sagan 1988) per
-  independent set of those endpoints, which are pinned in or out; a
-  tree takes one pass and a unicyclic graph three,
+- a component of order k whose BFS co-tree edges have endpoints W with
+  2^|W| <= max(2^PIN_LIMIT, k^2): one linear pass over the spanning
+  tree (Wilf 1986; Sagan 1988) per independent set of those endpoints,
+  which are pinned in or out; a tree takes one pass and a unicyclic
+  graph three,
 - a pivoted branch-and-bound walk over the complement's maximal
   cliques, the route for every other component.
 
@@ -30,8 +31,10 @@ from typing import Iterable, Iterator, Optional
 from .graphs import Graph, _bits, _induced
 from .graphs import classify  # noqa: F401  bench/child.py traces counting.classify
 
-# Pinned runs cost up to 2^|W| tree passes; at |W| = 8 they tie the clique
-# walk near order 24 (timings in README "Counting routes").
+# Pinned runs cost up to 2^|W| tree passes over the component's k vertices.
+# A component takes them while 2^|W| <= max(2^PIN_LIMIT, k^2), so they cost
+# at most about k^3 adopt steps; at |W| = 8 they tie the clique walk near
+# order 24 (timings in README "Counting routes" and CHANGES.md).
 PIN_LIMIT = 8
 
 # A vertex's state (in_s, out, bare, inc, exc) is defined in _adopt. A pin
@@ -113,8 +116,8 @@ def mis_alpha(g: Graph) -> tuple[int, int]:
 
 def _pinned_mis_alpha(g: Graph, start: int = 0) -> tuple[int, Optional[tuple[int, int]]]:
     """(vertex mask, (mis, alpha)) of the component of g holding start,
-    through a BFS spanning tree; the count is None when the co-tree edges
-    have more than PIN_LIMIT endpoints.
+    through a BFS spanning tree; the count is None when its co-tree edges
+    have more endpoints than the PIN_LIMIT rule allows.
 
     Every maximal set S meets the co-tree endpoints W in an independent
     set I, so the tree pass runs once per such I with each vertex of W
@@ -133,7 +136,7 @@ def _pinned_mis_alpha(g: Graph, start: int = 0) -> tuple[int, Optional[tuple[int
             order.append(w)
             parent.append(i)
         seen |= adj[v]
-    if len(ends) > PIN_LIMIT:
+    if 1 << len(ends) > max(1 << PIN_LIMIT, len(order) ** 2):
         return seen, None
     picks = [0]  # the independent subsets of ends, grown one vertex at a time
     for _, w in ends:

@@ -115,23 +115,26 @@ def components(g: Graph) -> list[Component]:
     contiguous range preserving relative order) plus the tuple of original
     indices the new labels map back to.
     """
-    seen = 0
     out = []
-    for start in range(g.order):
-        if seen >> start & 1:
-            continue
-        comp = 1 << start
-        frontier = 1 << start
+    for comp in _component_masks(g):
+        verts = tuple(_bits(comp))
+        out.append(Component(_induced(g, verts), verts))
+    return out
+
+
+def _component_masks(g: Graph) -> Iterator[int]:
+    """Vertex mask of each connected component, by smallest vertex."""
+    rest = (1 << g.order) - 1
+    while rest:
+        comp = frontier = rest & -rest
         while frontier:
             nxt = 0
             for v in _bits(frontier):
                 nxt |= g.adj[v]
             frontier = nxt & ~comp
             comp |= nxt
-        seen |= comp
-        verts = tuple(_bits(comp))
-        out.append(Component(_induced(g, verts), verts))
-    return out
+        rest &= ~comp
+        yield comp
 
 
 def _induced(g: Graph, verts: tuple[int, ...]) -> Graph:
@@ -189,8 +192,7 @@ def classify(g: Graph) -> Classification:
     n = g.order
     if n == 0:
         return Classification(kind="forest", component_count=0)
-    comps = components(g)
-    k = len(comps)
+    k = sum(1 for _ in _component_masks(g))
     m = g.edge_count
     if k == 1:
         if m == n - 1:
@@ -328,20 +330,30 @@ def parse_dot(text: str) -> Graph:
 # ---------------------------------------------------------------------------
 
 
-def _refine(adj: tuple[int, ...], cells: list[list[int]]) -> list[list[int]]:
+def _refine(
+    adj: tuple[int, ...], cells: list[list[int]], inert: set[int]
+) -> tuple[list[list[int]], set[int]]:
     """Refine an ordered partition to an equitable one.
 
-    Repeatedly splits every cell by neighbor counts into each current
-    cell; subcells inherit position and are ordered by count. The result
-    depends only on the partition structure, not on vertex labels, so
-    isomorphic inputs refine in lockstep.
+    Repeatedly splits every cell by neighbor counts into the first cell
+    that splits anything; subcells inherit position and are ordered by
+    count. The result depends only on the partition structure, not on
+    vertex labels, so isomorphic inputs refine in lockstep.
+
+    Once a cell has been the splitter, every cell has one count into it,
+    and so does every cell of a finer partition: while it is still a cell
+    it splits nothing. Such cells' masks are kept in `inert` and skipped.
+    The set is returned with the cells and then holds every cell's mask.
     """
+    inert = set(inert)
     while True:
-        changed = False
         for splitter in cells:
             smask = 0
             for v in splitter:
                 smask |= 1 << v
+            if smask in inert:
+                continue
+            inert.add(smask)
             new_cells: list[list[int]] = []
             did = False
             for cell in cells:
@@ -357,10 +369,9 @@ def _refine(adj: tuple[int, ...], cells: list[list[int]]) -> list[list[int]]:
                     new_cells.append(groups[key])
             if did:
                 cells = new_cells
-                changed = True
                 break
-        if not changed:
-            return cells
+        else:
+            return cells, inert
 
 
 def _encode(adj: tuple[int, ...], lab: list[int]) -> int:
@@ -375,25 +386,35 @@ def _encode(adj: tuple[int, ...], lab: list[int]) -> int:
 
 
 class _CanonSearch:
-    def __init__(self, g: Graph):
+    """Individualization-refinement search for the minimum encoding.
+
+    With single_path set it follows only the first vertex of each target
+    cell. That reaches the minimum whenever each target cell is one orbit
+    of the automorphisms fixing the current partition, which holds on
+    forests: there colour refinement finds the orbit partition (Immerman
+    and Lander 1990; Arvind, Köbler, Rattan and Verbitsky 2017).
+    """
+
+    def __init__(self, g: Graph, single_path: bool):
         self.adj = g.adj
         self.n = g.order
         self.m = g.order * (g.order - 1) // 2
         self.best_enc: Optional[int] = None
         self.best_lab: Optional[list[int]] = None
         self.autos: list[tuple[int, ...]] = []
+        self.single_path = single_path
         # Twin classes: vertices with identical open (or closed)
         # neighborhoods are interchangeable by a transposition, which
         # prunes the leaf-bundle and clique blowups without waiting for
-        # automorphism discovery.
+        # automorphism discovery. The single path prunes nothing.
         groups: dict[tuple[int, int], list[int]] = {}
-        for v in range(self.n):
+        for v in range(0 if single_path else self.n):
             groups.setdefault((0, g.adj[v]), []).append(v)
             groups.setdefault((1, g.adj[v] | 1 << v), []).append(v)
         self.twin_groups = [vs for vs in groups.values() if len(vs) > 1]
 
     def run(self) -> list[int]:
-        self._search([list(range(self.n))], [])
+        self._search([list(range(self.n))], [], set())
         assert self.best_lab is not None
         return self.best_lab
 
@@ -423,8 +444,8 @@ class _CanonSearch:
                     parent[max(a, b)] = min(a, b)
         return [find(v) for v in range(self.n)]
 
-    def _search(self, cells: list[list[int]], fixed: list[int]) -> None:
-        cells = _refine(self.adj, cells)
+    def _search(self, cells: list[list[int]], fixed: list[int], inert: set[int]) -> None:
+        cells, inert = _refine(self.adj, cells, inert)
         k = 0
         while k < len(cells) and len(cells[k]) == 1:
             k += 1
@@ -448,18 +469,19 @@ class _CanonSearch:
                 return
         target = cells[k]
         tried: list[int] = []
-        for v in target:
-            # recomputed per candidate: child searches append automorphisms
-            reps = self._orbit_reps(fixed)
-            if any(reps[v] == reps[u] for u in tried):
-                continue
+        for v in target[:1] if self.single_path else target:
+            if tried:
+                # recomputed per candidate: child searches append automorphisms
+                reps = self._orbit_reps(fixed)
+                if any(reps[v] == reps[u] for u in tried):
+                    continue
             tried.append(v)
             child = (
                 cells[:k]
                 + [[v], [w for w in target if w != v]]
                 + cells[k + 1 :]
             )
-            self._search(child, fixed + [v])
+            self._search(child, fixed + [v], inert)
 
 
 def canonical_graph(g: Graph) -> Graph:
@@ -468,7 +490,8 @@ def canonical_graph(g: Graph) -> Graph:
         raise ValueError(f"order {g.order} exceeds isomorphism limit {ISO_LIMIT}")
     if g.order <= 1:
         return g
-    lab = _CanonSearch(g).run()
+    forest = g.edge_count == g.order - sum(1 for _ in _component_masks(g))
+    lab = _CanonSearch(g, forest).run()
     pos = [0] * g.order
     for p, v in enumerate(lab):
         pos[v] = p

@@ -2,9 +2,11 @@
 
 Everything here is deliberately naive: subset loops (one vectorized
 with numpy, one in plain Python), the paper's support-vertex recursion,
-the Perrin-type cycle recurrence, permutation sweeps, Pruefer decoding, and levelwise labeled growth with
-canonical dedup. None of it shares algorithms with the package's
-counting routes, and the package itself does not import this module.
+the Perrin-type cycle recurrence, permutation sweeps, the partition
+refinement as it was before inert splitters, Pruefer decoding, and
+levelwise labeled growth with canonical dedup. None of it shares
+algorithms with the package's counting routes, and the package itself
+does not import this module.
 """
 
 from __future__ import annotations
@@ -235,6 +237,40 @@ def brute_canonical(g: Graph) -> str:
 
 def permute(g: Graph, perm) -> Graph:
     return make_graph(g.order, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def refine_reference(adj: tuple[int, ...], cells: list[list[int]]) -> list[list[int]]:
+    """Refine an ordered partition to an equitable one.
+
+    The package's refinement before it skipped inert splitters, kept
+    as written: after every split it tries every cell as a splitter
+    again from the first, so it shares no bookkeeping with the new one.
+    """
+    while True:
+        changed = False
+        for splitter in cells:
+            smask = 0
+            for v in splitter:
+                smask |= 1 << v
+            new_cells: list[list[int]] = []
+            did = False
+            for cell in cells:
+                if len(cell) == 1:
+                    new_cells.append(cell)
+                    continue
+                groups: dict[int, list[int]] = {}
+                for v in cell:
+                    groups.setdefault((adj[v] & smask).bit_count(), []).append(v)
+                if len(groups) > 1:
+                    did = True
+                for key in sorted(groups):
+                    new_cells.append(groups[key])
+            if did:
+                cells = new_cells
+                changed = True
+                break
+        if not changed:
+            return cells
 
 
 # ---------------------------------------------------------------------------

@@ -299,6 +299,12 @@ def _chorded_cycle(n, c):
     return make_graph(n, [(i, (i + 1) % n) for i in range(n)] + [(0, c)])
 
 
+def _chorded_cycle_46():
+    """C_46 with the chords (9j, 9j + 23 mod 46) for j < 5."""
+    chords = [(9 * j, (9 * j + 23) % 46) for j in range(5)]
+    return make_graph(46, [(i, (i + 1) % 46) for i in range(46)] + chords)
+
+
 def _chorded_cycle_mis(n, c):
     """mis of C_n plus the chord (0, c), 2 <= c <= n - 2, by a walk round
     the cycle that carries, after vertex v, the state (0 dominated, v in
@@ -372,6 +378,35 @@ class TestPinnedRoute:
         k = make_graph(PIN_LIMIT + 2, [(u, v) for u in range(PIN_LIMIT + 2) for v in range(u)])
         assert _pinned_mis_alpha(k)[1] is None
         assert (mis_count(k), independence_number(k)) == (PIN_LIMIT + 2, 1)
+
+    def test_cap_grows_with_the_order(self):
+        """C_46 with five chords has 11 co-tree endpoints, more than
+        PIN_LIMIT, but 2^11 <= 46^2, so it is counted by the pinned route
+        and agrees with the walk, which shares no code with it."""
+        g = _chorded_cycle_46()
+        assert _pinned_mis_alpha(g)[1] == (299815, 23)
+        assert mis_alpha(g) == _clique_walk(g) == (299815, 23)
+
+    def test_grown_cap_takes_the_pinned_route(self, monkeypatch):
+        import misbounds.counting as counting
+
+        def no_walk(c):
+            raise AssertionError("took the clique walk")
+
+        monkeypatch.setattr(counting, "_clique_walk", no_walk)
+        assert mis_alpha(_chorded_cycle_46()) == (299815, 23)
+
+    @pytest.mark.parametrize("n, k, pinned", [(64, 6, True), (64, 7, False), (63, 6, False)])
+    def test_cap_boundary(self, n, k, pinned):
+        """A star plus k disjoint edges between leaves has 2k co-tree
+        endpoints; the pinned route takes it while 2^(2k) <= n^2. Its
+        maximal sets are the centre alone and one end of each edge with
+        every other leaf."""
+        leaf_edges = [(2 * j + 1, 2 * j + 2) for j in range(k)]
+        g = make_graph(n, [(0, i) for i in range(1, n)] + leaf_edges)
+        want = (2**k + 1, n - 1 - k)
+        assert (_pinned_mis_alpha(g)[1] is not None) == pinned
+        assert mis_alpha(g) == _clique_walk(g) == want
 
     def test_cycle_walk_oracle_small(self):
         for n in range(4, 13):

@@ -32,15 +32,19 @@ def count_stream(task: GenerationTask) -> int:
     return sum(1 for _ in task_stream(task))
 
 
-TREE_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106}
-UNI_COUNTS = {3: 1, 4: 2, 5: 5, 6: 13, 7: 33, 8: 89, 9: 240}
-FOREST_COUNTS = {1: 1, 2: 2, 3: 3, 4: 6, 5: 10, 6: 20, 7: 37, 8: 76}
+# Isomorphism classes per order through the certification scope: OEIS
+# A000055 (trees), A001429 (connected unicyclic graphs), A005195 (forests).
+TREE_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106,
+               11: 235, 12: 551, 13: 1301, 14: 3159}
+UNI_COUNTS = {3: 1, 4: 2, 5: 5, 6: 13, 7: 33, 8: 89, 9: 240, 10: 657, 11: 1806, 12: 5026}
+FOREST_COUNTS = {1: 1, 2: 2, 3: 3, 4: 6, 5: 10, 6: 20, 7: 37, 8: 76, 9: 153, 10: 329,
+                 11: 710, 12: 1601}
 
 
 class TestFreeTrees:
     def test_counts(self):
         for n, want in TREE_COUNTS.items():
-            assert sum(1 for _ in free_trees(n)) == want
+            assert count_stream(GenerationTask("tree", n)) == want, n
 
     def test_single_vertex(self):
         (t,) = list(free_trees(1))
@@ -98,7 +102,7 @@ class TestFreeTrees:
 class TestUnicyclic:
     def test_counts(self):
         for n, want in UNI_COUNTS.items():
-            assert sum(1 for _ in unicyclic_graphs(n)) == want
+            assert count_stream(GenerationTask("unicyclic", n)) == want, n
 
     def test_all_unicyclic_of_right_order(self):
         for n in range(3, 10):
@@ -153,7 +157,7 @@ class TestUnicyclic:
 class TestForests:
     def test_counts(self):
         for n, want in FOREST_COUNTS.items():
-            assert sum(1 for _ in forests(n)) == want
+            assert count_stream(GenerationTask("forest", n)) == want, n
 
     def test_n2(self):
         got = [classify(g).kind for g in forests(2)]

@@ -6,8 +6,11 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from misbounds.generate import forests, free_trees
 from misbounds.graphs import (
     Graph,
+    _CanonSearch,
+    _refine,
     canonical_form,
     canonical_graph,
     classify,
@@ -25,6 +28,7 @@ from oracle_helpers import (
     delete_vertices,
     find_support_reduction,
     permute,
+    refine_reference,
 )
 
 
@@ -376,3 +380,75 @@ class TestCanonicalForm:
         h = canonical_graph(g)
         assert h.order == g.order and h.edge_count == g.edge_count
         assert canonical_form(h) == canonical_form(g)
+
+
+def _random_graph(rng, n):
+    p = rng.random()
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return make_graph(n, [e for e in pairs if rng.random() < p])
+
+
+class TestInertRefinement:
+    """_refine skips cells that have already been the splitter; its cells
+    must equal the reference refinement, which retries every splitter."""
+
+    def test_matches_reference_on_random_partitions(self):
+        import random
+
+        rng = random.Random(1990)
+        for _ in range(2000):
+            n = rng.randint(1, 11)
+            g = _random_graph(rng, n)
+            verts = list(range(n))
+            rng.shuffle(verts)
+            cuts = sorted(rng.sample(range(1, n), rng.randint(0, n - 1)))
+            cells = [verts[a:b] for a, b in zip([0] + cuts, cuts + [n])]
+            refined, inert = _refine(g.adj, cells, set())
+            assert refined == refine_reference(g.adj, cells)
+            assert {sum(1 << v for v in c) for c in refined} <= inert
+            # individualize as the search does, carrying the inert masks down
+            k = next((i for i, c in enumerate(refined) if len(c) > 1), None)
+            if k is not None:
+                v = rng.choice(refined[k])
+                child = refined[:k] + [[v], [w for w in refined[k] if w != v]] + refined[k + 1 :]
+                carried = set(inert)
+                assert _refine(g.adj, child, inert)[0] == refine_reference(g.adj, child)
+                assert inert == carried  # siblings reuse the parent's set
+
+
+def _min_encoding(g, single_path):
+    search = _CanonSearch(g, single_path)
+    search.run()
+    return search.best_enc
+
+
+class TestForestSinglePath:
+    """On a forest the search follows one vertex per level. It must reach
+    the full search's minimum encoding on every generated tree and forest,
+    as generated and under a shuffled labeling: the generator's labels are
+    structured, and shuffled ones exercise the orbit argument."""
+
+    @pytest.mark.parametrize("stream, top, seed", [(free_trees, 14, 1990), (forests, 12, 2017)])
+    def test_matches_full_search(self, stream, top, seed):
+        import random
+
+        rng = random.Random(seed)
+        for n in range(1, top + 1):
+            for g in stream(n):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                for h in (g, permute(g, perm)):
+                    assert _min_encoding(h, True) == _min_encoding(h, False), write_graph6(h)
+
+    def test_only_forests_take_the_single_path(self, monkeypatch):
+        import misbounds.graphs as graphs_mod
+
+        flags = []
+        search = graphs_mod._CanonSearch
+        monkeypatch.setattr(
+            graphs_mod, "_CanonSearch", lambda g, single: flags.append(single) or search(g, single)
+        )
+        triangle_and_edge = make_graph(5, [(0, 1), (1, 2), (0, 2), (3, 4)])
+        for g in (path(6), star(5), make_graph(5, [(0, 1), (2, 3)]), cycle(6), triangle_and_edge):
+            canonical_form(g)
+        assert flags == [True, True, True, False, False]
