@@ -11,6 +11,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import asdict, dataclass, field
+from functools import partial
+from itertools import islice
+from typing import Iterator
 
 BigCount = int
 
@@ -145,6 +148,11 @@ def _sweep_pairs(name, lo1, lo2, limit, check) -> LemmaSweep:
     return sweep
 
 
+def check_lemma_limit(limit: int) -> None:
+    if limit < 5:
+        raise ValueError("limit must be at least 5")
+
+
 def sweep_sequence_lemmas(
     limit: int,
     samples: int = LEMMA2_SAMPLES,
@@ -153,52 +161,62 @@ def sweep_sequence_lemmas(
     """Exact checks of the product/identity inequalities for g, h, l.
 
     Pair lemmas are enumerated over all in-range (n1, n2) with
-    n1 + n2 <= limit. The eight-variable majorization-product lemma is
-    checked on pseudo-random tuples satisfying its hypotheses, with a
-    fixed seed so runs are reproducible.
+    n1 + n2 <= limit, reading g, h and l from tables built once. The
+    eight-variable majorization-product lemma is checked on
+    pseudo-random tuples satisfying its hypotheses, with a fixed seed so
+    runs are reproducible.
     """
-    if limit < 5:
-        raise ValueError("limit must be at least 5")
+    check_lemma_limit(limit)
+    g = [g_seq(i) for i in range(limit + 2)]
+    h = [h_seq(i) for i in range(limit + 1)]
+    ell = [None] * 3 + [ell_seq(i) for i in range(3, limit + 1)]
     sweeps = [
         _sweep_pairs(
             "lemma1_product", 0, 0, limit,
-            lambda n1, n2: g_seq(n1) * g_seq(n2) >= g_seq(n1 + n2),
+            lambda n1, n2: g[n1] * g[n2] >= g[n1 + n2],
         ),
         _sweep_pairs(
             "lemma1_identity", 1, 1, limit,
-            lambda n1, n2: g_seq(n1) * g_seq(n2) + g_seq(n1 - 1) * g_seq(n2 - 1)
-            == g_seq(n1 + n2 + 1),
+            lambda n1, n2: g[n1] * g[n2] + g[n1 - 1] * g[n2 - 1] == g[n1 + n2 + 1],
         ),
         _sweep_lemma2(samples, seed),
         _sweep_pairs(
             "lemma5", 2, 0, limit,
-            lambda n1, n2: h_seq(n1) * g_seq(n2) >= h_seq(n1 + n2),
+            lambda n1, n2: h[n1] * g[n2] >= h[n1 + n2],
         ),
         _sweep_pairs(
             "lemma6", 3, 0, limit,
-            lambda n1, n2: ell_seq(n1) * g_seq(n2) >= ell_seq(n1 + n2),
+            lambda n1, n2: ell[n1] * g[n2] >= ell[n1 + n2],
         ),
         _sweep_pairs(
             "lemma10", 3, 0, limit,
-            lambda n1, n2: ell_seq(n1) * 2**n2 >= ell_seq(n1 + n2),
+            lambda n1, n2: ell[n1] * 2**n2 >= ell[n1 + n2],
         ),
     ]
     return sweeps
 
 
-def _sweep_lemma2(samples: int, seed: int) -> LemmaSweep:
-    rng = random.Random(seed)
+def _lemma2_tuples(samples: int, seed: int) -> Iterator[tuple[int, ...]]:
+    """(a, b, c, d, e, f, g, h) for lemma 2: c >= d, a >= c, a + b >= c + d
+    and the same for (e, f, g, h), built from eight uniform draws below
+    _LEMMA2_VALUE_RANGE each. A draw is what rng.randrange(M) gives: it
+    takes M.bit_length() random bits and draws again while they are at
+    least M."""
     M = _LEMMA2_VALUE_RANGE
+    draws = filter(M.__gt__, iter(partial(random.Random(seed).getrandbits, M.bit_length()), -1))
+    for d, c, a, b, h, g, e, f in islice(zip(*[draws] * 8), samples):
+        c += d
+        a += c
+        b += max(0, c + d - a)
+        g += h
+        e += g
+        f += max(0, g + h - e)
+        yield a, b, c, d, e, f, g, h
+
+
+def _sweep_lemma2(samples: int, seed: int) -> LemmaSweep:
     sweep = LemmaSweep(lemma="lemma2_majorization", tuples_checked=0)
-    for _ in range(samples):
-        d = rng.randrange(M)
-        c = d + rng.randrange(M)
-        a = c + rng.randrange(M)
-        b = max(0, c + d - a) + rng.randrange(M)
-        h = rng.randrange(M)
-        g = h + rng.randrange(M)
-        e = g + rng.randrange(M)
-        f = max(0, g + h - e) + rng.randrange(M)
+    for a, b, c, d, e, f, g, h in _lemma2_tuples(samples, seed):
         sweep.tuples_checked += 1
         if not majorizes((a * e, b * f), (c * g, d * h)):
             sweep.violations.append(

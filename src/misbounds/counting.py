@@ -4,10 +4,10 @@ Routes, each checked in the test suite against oracles that share no
 code with them (tests/oracle_helpers.py):
 
 - a component of order k whose BFS co-tree edges have endpoints W with
-  2^|W| <= max(2^PIN_LIMIT, k^2): one linear pass over the spanning
-  tree (Wilf 1986; Sagan 1988) per independent set of those endpoints,
-  which are pinned in or out; a tree takes one pass and a unicyclic
-  graph three,
+  at most max(2^PIN_LIMIT, k^2) independent subsets: one linear pass
+  over the spanning tree (Wilf 1986; Sagan 1988) per such subset, whose
+  vertices are pinned in and the rest of W out; a tree takes one pass
+  and a unicyclic graph three,
 - a pivoted branch-and-bound walk over the complement's maximal
   cliques, the route for every other component.
 
@@ -31,9 +31,10 @@ from typing import Iterable, Iterator, Optional
 from .graphs import Graph, _bits, _induced
 from .graphs import classify  # noqa: F401  bench/child.py traces counting.classify
 
-# Pinned runs cost up to 2^|W| tree passes over the component's k vertices.
-# A component takes them while 2^|W| <= max(2^PIN_LIMIT, k^2), so they cost
-# at most about k^3 adopt steps; at |W| = 8 they tie the clique walk near
+# Pinned runs cost one tree pass over the component's k vertices per
+# independent subset of the co-tree endpoints W. A component takes them
+# while it has at most max(2^PIN_LIMIT, k^2) such subsets, so they cost at
+# most about k^3 adopt steps; at 2^8 runs they tie the clique walk near
 # order 24 (timings in README "Counting routes" and CHANGES.md).
 PIN_LIMIT = 8
 
@@ -116,8 +117,9 @@ def mis_alpha(g: Graph) -> tuple[int, int]:
 
 def _pinned_mis_alpha(g: Graph, start: int = 0) -> tuple[int, Optional[tuple[int, int]]]:
     """(vertex mask, (mis, alpha)) of the component of g holding start,
-    through a BFS spanning tree; the count is None when its co-tree edges
-    have more endpoints than the PIN_LIMIT rule allows.
+    through a BFS spanning tree; the count is None when its co-tree
+    endpoints have more independent subsets than the PIN_LIMIT rule
+    allows, found as soon as the subsets built so far pass it.
 
     Every maximal set S meets the co-tree endpoints W in an independent
     set I, so the tree pass runs once per such I with each vertex of W
@@ -136,11 +138,12 @@ def _pinned_mis_alpha(g: Graph, start: int = 0) -> tuple[int, Optional[tuple[int
             order.append(w)
             parent.append(i)
         seen |= adj[v]
-    if 1 << len(ends) > max(1 << PIN_LIMIT, len(order) ** 2):
-        return seen, None
+    cap = max(1 << PIN_LIMIT, len(order) ** 2)
     picks = [0]  # the independent subsets of ends, grown one vertex at a time
     for _, w in ends:
         picks += [i | 1 << w for i in picks if not adj[w] & i]
+        if len(picks) > cap:
+            return seen, None
     mis = alpha = 0
     for i in picks:
         pins = [(p, _S_IN if i >> w & 1 else _COVERED if adj[w] & i else _S_OUT) for p, w in ends]

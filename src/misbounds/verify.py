@@ -5,7 +5,9 @@ isomorph-free graphs of a class, buckets them by independence number,
 and tracks the minimum MIS count per bucket together with how many
 graphs attain it and a canonical witness. Each order is scanned whole
 by one worker, so worker count and scheduling never change the output;
-certificate files are sorted and byte-stable.
+certificate files are sorted and byte-stable. certify runs the class
+scans, claim 1, the cycle bound and the lemma sweep as tasks of one
+process pool and writes every certificate and report.
 """
 
 from __future__ import annotations
@@ -14,12 +16,20 @@ import csv
 import io
 import json
 import os
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, astuple, dataclass, field
-from itertools import repeat
-from typing import Iterable
+from typing import Callable, Iterable, NamedTuple
 
-from .bounds import BoundQuery, ell_seq, tree_bound, unicyclic_bound
+from .bounds import (
+    BoundQuery,
+    LemmaSweep,
+    check_lemma_limit,
+    ell_seq,
+    sweep_sequence_lemmas,
+    tree_bound,
+    unicyclic_bound,
+)
 from .counting import independence_number, shape_mis_alpha
 from .counting import mis_count  # noqa: F401  bench/child.py traces verify.mis_count
 from .generate import (
@@ -51,6 +61,7 @@ STATUS_NOT_SHARP = "holds_not_sharp"
 STATUS_VIOLATED = "violated"
 
 _ORDER_LIMITS = {"tree": TREE_LIMIT, "unicyclic": UNICYCLIC_LIMIT, "forest": FOREST_LIMIT}
+_MIN_ORDER = {"tree": 2, "unicyclic": 3, "forest": 1, "claim1": 4, "cycle": 5}
 
 
 @dataclass(frozen=True)
@@ -123,26 +134,15 @@ class VerifyResult:
         return [r for r in self.records if r.status == STATUS_VIOLATED]
 
 
-def _verify_class(
-    graph_class: str,
-    n_values: Iterable[int],
-    jobs: int = 1,
-) -> VerifyResult:
-    n_values = list(n_values)
-    limit = _ORDER_LIMITS[graph_class]
-    if n_values and max(n_values) > limit:
-        raise ValueError(f"order {max(n_values)} above {graph_class} limit {limit}")
-    # One whole order per task, largest first so that the dominant top
-    # order starts first; more workers than cores or orders would idle.
-    workers = min(jobs, os.cpu_count() or 1, len(n_values))
-    if workers <= 1:
-        orders = n_values
-        scans = map(_scan_order, repeat(graph_class), orders)
-    else:
-        orders = sorted(n_values, reverse=True)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            scans = list(pool.map(_scan_order, repeat(graph_class), orders))
-    buckets_by_n = dict(zip(orders, scans))
+def _verify_class(graph_class: str, n_max: int, jobs: int) -> VerifyResult:
+    # One whole order per task, largest first: the top order dominates.
+    orders = _orders(graph_class, n_max)[::-1]
+    scans = _run_tasks([(_scan_order, (graph_class, n)) for n in orders], jobs)
+    return _class_result(graph_class, {n: scan for n, (scan, _) in zip(orders, scans)})
+
+
+def _class_result(graph_class: str, buckets_by_n: dict[int, dict[int, _Bucket]]) -> VerifyResult:
+    """Certificates of one class from its scanned orders, sorted by (n, alpha)."""
     result = VerifyResult(records=[])
     for n in sorted(buckets_by_n):
         for alpha, b in sorted(buckets_by_n[n].items()):
@@ -170,25 +170,52 @@ def _verify_class(
     return result
 
 
+def _run_tasks(tasks: list[tuple[Callable, tuple]], jobs: int) -> list[tuple]:
+    """(fn(*args), seconds it took) for each (fn, args) task, in task
+    order. With one worker the tasks run here, one after another;
+    otherwise one process pool of at most `jobs` workers starts them in
+    task order, so callers list the longest first. More workers than
+    cores or tasks would idle. A task that raises cancels those not yet
+    started and raises here."""
+    workers = min(jobs, os.cpu_count() or 1, len(tasks))
+    if workers <= 1:
+        return list(map(_timed_call, tasks))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(_timed_call, tasks))
+
+
+def _timed_call(task: tuple[Callable, tuple]) -> tuple:
+    fn, args = task
+    t0 = time.perf_counter()
+    return fn(*args), time.perf_counter() - t0
+
+
+def _orders(check: str, n_max: int) -> range:
+    """The orders a check covers up to n_max; a ValueError names an n_max
+    below the check's first order or above its generator's limit."""
+    lo = _MIN_ORDER[check]
+    if n_max < lo:
+        raise ValueError(f"need n_max >= {lo}")
+    graph_class = "unicyclic" if check == "claim1" else check
+    limit = _ORDER_LIMITS.get(graph_class)
+    if limit is not None and n_max > limit:
+        raise ValueError(f"order {n_max} above {graph_class} limit {limit}")
+    return range(lo, n_max + 1)
+
+
 def verify_tree_theorem(n_max: int, jobs: int = 1) -> VerifyResult:
     """Check min mis = g(n - alpha) over all trees with 2 <= n <= n_max."""
-    if n_max < 2:
-        raise ValueError("need n_max >= 2")
-    return _verify_class("tree", range(2, n_max + 1), jobs)
+    return _verify_class("tree", n_max, jobs)
 
 
 def verify_forest_corollary(n_max: int, jobs: int = 1) -> VerifyResult:
     """Check min mis = g(n - alpha) over all forests with 1 <= n <= n_max."""
-    if n_max < 1:
-        raise ValueError("need n_max >= 1")
-    return _verify_class("forest", range(1, n_max + 1), jobs)
+    return _verify_class("forest", n_max, jobs)
 
 
 def verify_unicyclic_theorem(n_max: int, jobs: int = 1) -> VerifyResult:
     """Check min mis = t(n, alpha) over all unicyclic graphs, 3 <= n <= n_max."""
-    if n_max < 3:
-        raise ValueError("need n_max >= 3")
-    return _verify_class("unicyclic", range(3, n_max + 1), jobs)
+    return _verify_class("unicyclic", n_max, jobs)
 
 
 @dataclass
@@ -204,16 +231,29 @@ class Claim1Report:
 
 
 def verify_claim1(n_max: int) -> Claim1Report:
-    if n_max < 4:
-        raise ValueError("need n_max >= 4")
+    return _claim1_report(n_max, map(_claim1_order, _orders("claim1", n_max)))
+
+
+def _claim1_order(n: int) -> tuple[int, list[str]]:
+    """(graphs checked, graph6 of each violation) over the even-cycle
+    unicyclic graphs of order n."""
+    need = -(-n // 2)
+    checked = 0
+    violations = []
+    for c in range(4, n + 1, 2):
+        for g in unicyclic_graphs(n, cycle=c):
+            checked += 1
+            if independence_number(g) < need:
+                violations.append(canonical_form(g).decode("ascii"))
+    return checked, violations
+
+
+def _claim1_report(n_max: int, orders: Iterable[tuple[int, list[str]]]) -> Claim1Report:
+    """The report summed over each order's _claim1_order result."""
     report = Claim1Report(n_max=n_max, graphs_checked=0)
-    for n in range(4, n_max + 1):
-        need = -(-n // 2)
-        for c in range(4, n + 1, 2):
-            for g in unicyclic_graphs(n, cycle=c):
-                report.graphs_checked += 1
-                if independence_number(g) < need:
-                    report.violations.append(canonical_form(g).decode("ascii"))
+    for checked, violations in orders:
+        report.graphs_checked += checked
+        report.violations += violations
     return report
 
 
@@ -253,10 +293,8 @@ class CycleBoundReport:
 
 
 def verify_cycle_bound(n_max: int) -> CycleBoundReport:
-    if n_max < 5:
-        raise ValueError("need n_max >= 5")
     report = CycleBoundReport(n_max=n_max)
-    for n in range(5, n_max + 1):
+    for n in _orders("cycle", n_max):
         mis = shape_mis_alpha("unicyclic", ((),) * n)[0]  # the bare cycle C_n
         report.rows.append(CycleBoundRow(n=n, mis=mis, bound=ell_seq((n + 1) // 2)))
     return report
@@ -295,3 +333,99 @@ def export_certificates(records: Iterable[VerificationRecord], path: str) -> str
     with open(path, "w") as fh:
         fh.write(text)
     return path
+
+
+class CertifyScope(NamedTuple):
+    """How far one certification run goes: the largest order of each
+    class (claim 1 runs to the unicyclic one), the largest cycle and the
+    lemma sweep's limit. The defaults are the desk-scale run."""
+
+    tree_max_n: int = 14
+    unicyclic_max_n: int = 12
+    forest_max_n: int = 12
+    cycle_max_n: int = 40
+    lemma_limit: int = 60
+
+
+class Certification(NamedTuple):
+    """The reports of one certify run; seconds[c] sums the task times of
+    class c, whichever workers ran them."""
+
+    classes: dict[str, VerifyResult]
+    seconds: dict[str, float]
+    claim1: Claim1Report
+    cycles: CycleBoundReport
+    lemmas: list[LemmaSweep]
+
+    @property
+    def failures(self) -> int:
+        return (
+            sum(len(r.violations) for r in self.classes.values())
+            + len(self.claim1.violations)
+            + len(self.cycles.violations)
+            + sum(len(s.violations) for s in self.lemmas)
+        )
+
+
+# Relative cost of a task, so the pool can start the longest first
+# (Graham 1969). An order of a scan or of claim 1 costs about three times
+# the order below it; a tree of order n about as much as a unicyclic
+# graph of order n - 3, a forest of order n - 1. The lemma sweep outlasts
+# every other task and the cycle bound takes milliseconds.
+_ORDER_SHIFT = {"tree": -3, "forest": -1, "unicyclic": 0, "claim1": 0}
+
+
+def _task_cost(key: tuple[str, int]) -> float:
+    check, n = key
+    if check == "lemmas":
+        return float("inf")
+    if check == "cycle":
+        return 0.0
+    return 3.0 ** (n + _ORDER_SHIFT[check])
+
+
+def certify(out_dir: str, scope: CertifyScope = CertifyScope(), jobs: int = 1) -> Certification:
+    """Run the whole certification and write its nine files to out_dir:
+    <class>.csv and <class>.json for tree, unicyclic and forest, then
+    claim1.json, cycle_bound.json and lemma_sweep.json.
+
+    Every order of every class scan and of claim 1, the cycle bound and
+    the lemma sweep are tasks of one _run_tasks call, longest first.
+    Every order limit is checked before any task starts. The files do
+    not depend on jobs.
+    """
+    max_n = {
+        "tree": scope.tree_max_n,
+        "unicyclic": scope.unicyclic_max_n,
+        "forest": scope.forest_max_n,
+        "claim1": scope.unicyclic_max_n,
+    }
+    orders = {check: _orders(check, n) for check, n in max_n.items()}
+    _orders("cycle", scope.cycle_max_n)
+    check_lemma_limit(scope.lemma_limit)
+    tasks = {
+        ("lemmas", 0): (sweep_sequence_lemmas, (scope.lemma_limit,)),
+        ("cycle", 0): (verify_cycle_bound, (scope.cycle_max_n,)),
+    }
+    for check, ns in orders.items():
+        for n in ns:
+            tasks[check, n] = (_claim1_order, (n,)) if check == "claim1" else (_scan_order, (check, n))
+    keys = sorted(tasks, key=_task_cost, reverse=True)
+    done = dict(zip(keys, _run_tasks([tasks[k] for k in keys], jobs)))
+
+    classes = {c: _class_result(c, {n: done[c, n][0] for n in orders[c]}) for c in _ORDER_LIMITS}
+    run = Certification(
+        classes=classes,
+        seconds={c: sum(done[c, n][1] for n in orders[c]) for c in classes},
+        claim1=_claim1_report(max_n["claim1"], (done["claim1", n][0] for n in orders["claim1"])),
+        cycles=done["cycle", 0][0],
+        lemmas=done["lemmas", 0][0],
+    )
+    os.makedirs(out_dir, exist_ok=True)
+    for c, result in classes.items():
+        export_certificates(result.records, os.path.join(out_dir, f"{c}.csv"))
+        export_certificates(result.records, os.path.join(out_dir, f"{c}.json"))
+    write_json(os.path.join(out_dir, "claim1.json"), run.claim1.to_dict())
+    write_json(os.path.join(out_dir, "cycle_bound.json"), run.cycles.to_dict())
+    write_json(os.path.join(out_dir, "lemma_sweep.json"), [s.to_dict() for s in run.lemmas])
+    return run

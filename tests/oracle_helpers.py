@@ -3,8 +3,9 @@
 Everything here is deliberately naive: subset loops (one vectorized
 with numpy, one in plain Python), the paper's support-vertex recursion,
 the Perrin-type cycle recurrence, permutation sweeps, the partition
-refinement as it was before inert splitters, Pruefer decoding, and
-levelwise labeled growth with canonical dedup. None of it shares
+refinement as it was before inert splitters, Pruefer decoding,
+levelwise labeled growth with canonical dedup, and lemma 2's sampling
+loop drawn one randrange at a time. None of it shares
 algorithms with the package's counting routes, and the package itself
 does not import this module.
 """
@@ -12,6 +13,7 @@ does not import this module.
 from __future__ import annotations
 
 import bisect
+import random
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
 from typing import Iterable, Optional
@@ -29,6 +31,25 @@ from misbounds.graphs import (
 
 BRUTEFORCE_LIMIT = 25
 _BRUTE_CHUNK = 1 << 20
+
+
+def lemma2_tuples_reference(samples: int, seed: int, value_range: int = 10_000) -> list[tuple]:
+    """The (a, b, c, d, e, f, g, h) tuples of the lemma-2 sweep, drawn with
+    one rng.randrange per variable."""
+    rng = random.Random(seed)
+    M = value_range
+    out = []
+    for _ in range(samples):
+        d = rng.randrange(M)
+        c = d + rng.randrange(M)
+        a = c + rng.randrange(M)
+        b = max(0, c + d - a) + rng.randrange(M)
+        h = rng.randrange(M)
+        g = h + rng.randrange(M)
+        e = g + rng.randrange(M)
+        f = max(0, g + h - e) + rng.randrange(M)
+        out.append((a, b, c, d, e, f, g, h))
+    return out
 
 
 def mis_count_cycle(n: int) -> int:

@@ -5,7 +5,10 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from misbounds.bounds import (
+    LEMMA2_SAMPLES,
+    LEMMA2_SEED,
     BoundQuery,
+    _lemma2_tuples,
     ell_seq,
     fib,
     g_seq,
@@ -15,6 +18,8 @@ from misbounds.bounds import (
     tree_bound,
     unicyclic_bound,
 )
+
+from oracle_helpers import lemma2_tuples_reference
 
 
 def fib_oracle(n):
@@ -198,3 +203,24 @@ class TestLemmaSweeps:
     def test_limit_guard(self):
         with pytest.raises(ValueError):
             sweep_sequence_lemmas(4)
+
+    @pytest.mark.parametrize("seed", [LEMMA2_SEED, 0, 7, 99, 12345])
+    @pytest.mark.parametrize("samples", [0, 1, 2, 1000])
+    def test_lemma2_tuples_match_randrange(self, seed, samples):
+        assert list(_lemma2_tuples(samples, seed)) == lemma2_tuples_reference(samples, seed)
+
+    def test_lemma2_default_tuples_match_randrange(self):
+        got = list(_lemma2_tuples(LEMMA2_SAMPLES, LEMMA2_SEED))
+        assert got == lemma2_tuples_reference(LEMMA2_SAMPLES, LEMMA2_SEED)
+
+    @pytest.mark.parametrize("limit", [5, 6, 7, 13, 40])
+    def test_pair_lemmas_from_tables(self, limit):
+        """The pair lemmas read g, h and l from tables; every pair in
+        range is checked once and every lemma holds, up to the top index
+        each table needs."""
+        lo = {"lemma1_product": (0, 0), "lemma1_identity": (1, 1), "lemma5": (2, 0),
+              "lemma6": (3, 0), "lemma10": (3, 0)}
+        sweeps = {s.lemma: s for s in sweep_sequence_lemmas(limit, samples=1)}
+        for name, (lo1, lo2) in lo.items():
+            pairs = sum(1 for n1 in range(lo1, limit + 1) for _ in range(lo2, limit - n1 + 1))
+            assert (sweeps[name].tuples_checked, sweeps[name].violations) == (pairs, [])

@@ -295,6 +295,19 @@ def _tree_plus_edges(rng, n, extra):
     return make_graph(n, t.edges() + rng.sample(absent, extra))
 
 
+def _star_with_leaf_edges(n, k):
+    """The star of order n centred at 0 plus the edges (2j + 1, 2j + 2), j < k."""
+    return make_graph(n, [(0, i) for i in range(1, n)] + [(2 * j + 1, 2 * j + 2) for j in range(k)])
+
+
+def _seeded_tree_32_plus_6():
+    """A seeded Pruefer tree of order 32 plus six edges; its BFS co-tree
+    edges have 11 endpoints with 342 independent subsets."""
+    import random
+
+    return _tree_plus_edges(random.Random(1), 32, 6)
+
+
 def _chorded_cycle(n, c):
     return make_graph(n, [(i, (i + 1) % n) for i in range(n)] + [(0, c)])
 
@@ -375,9 +388,12 @@ class TestPinnedRoute:
             assert len(runs) == want
 
     def test_above_the_cap_takes_the_walk(self):
-        k = make_graph(PIN_LIMIT + 2, [(u, v) for u in range(PIN_LIMIT + 2) for v in range(u)])
-        assert _pinned_mis_alpha(k)[1] is None
-        assert (mis_count(k), independence_number(k)) == (PIN_LIMIT + 2, 1)
+        """A star of order 13 plus six disjoint edges between leaves: its
+        12 co-tree endpoints have 3^6 = 729 independent subsets, more than
+        2^PIN_LIMIT and 13^2."""
+        g = _star_with_leaf_edges(13, 6)
+        assert _pinned_mis_alpha(g)[1] is None
+        assert (mis_count(g), independence_number(g)) == (2**6 + 1, 6)
 
     def test_cap_grows_with_the_order(self):
         """C_46 with five chords has 11 co-tree endpoints, more than
@@ -396,17 +412,35 @@ class TestPinnedRoute:
         monkeypatch.setattr(counting, "_clique_walk", no_walk)
         assert mis_alpha(_chorded_cycle_46()) == (299815, 23)
 
-    @pytest.mark.parametrize("n, k, pinned", [(64, 6, True), (64, 7, False), (63, 6, False)])
+    @pytest.mark.parametrize(
+        "n, k, pinned", [(64, 6, True), (47, 7, True), (46, 7, False), (64, 8, False)]
+    )
     def test_cap_boundary(self, n, k, pinned):
         """A star plus k disjoint edges between leaves has 2k co-tree
-        endpoints; the pinned route takes it while 2^(2k) <= n^2. Its
-        maximal sets are the centre alone and one end of each edge with
-        every other leaf."""
-        leaf_edges = [(2 * j + 1, 2 * j + 2) for j in range(k)]
-        g = make_graph(n, [(0, i) for i in range(1, n)] + leaf_edges)
+        endpoints with 3^k independent subsets; the pinned route takes it
+        while 3^k <= n^2. Its maximal sets are the centre alone and one
+        end of each edge with every other leaf."""
+        g = _star_with_leaf_edges(n, k)
         want = (2**k + 1, n - 1 - k)
         assert (_pinned_mis_alpha(g)[1] is not None) == pinned
         assert mis_alpha(g) == _clique_walk(g) == want
+
+    @pytest.mark.parametrize("g", [_star_with_leaf_edges(32, 6), _seeded_tree_32_plus_6()],
+                             ids=["star", "pruefer"])
+    def test_cap_counts_independent_endpoint_subsets(self, g, monkeypatch):
+        """Order 32 with six co-tree edges: 2^|W| is above max(2^PIN_LIMIT,
+        32^2), which the cap on 2^|W| refused, but the independent subsets
+        of W, one pinned run each, are not (at most 3^6 = 729)."""
+        import misbounds.counting as counting
+
+        want = _clique_walk(g)
+        assert _pinned_mis_alpha(g)[1] == want
+
+        def no_walk(c):
+            raise AssertionError("took the clique walk")
+
+        monkeypatch.setattr(counting, "_clique_walk", no_walk)
+        assert mis_alpha(g) == want
 
     def test_cycle_walk_oracle_small(self):
         for n in range(4, 13):
@@ -425,17 +459,21 @@ class TestPinnedRoute:
 def _interleaved(rng, n, dense):
     """A disconnected graph whose components interleave their labels.
 
-    The labels v % 3 != 2 carry, when dense, a K_10 minus three edges on
-    the first ten (more co-tree endpoints than PIN_LIMIT, so it takes the
-    walk) and a path on the rest; otherwise a tree plus two edges. The
+    The labels v % 3 != 2 carry, when dense, a star on the first
+    thirteen, in random order, with disjoint edges between its leaves (at
+    order 13 its co-tree endpoints have at least 3^5 independent subsets,
+    more than the pinned route's cap, so it takes the walk) and a path on
+    the rest; otherwise a tree plus two edges. The
     labels v % 3 == 2 but the last carry a path, closed into a cycle with
     a chord once it has four vertices, and the last is isolated."""
     main = [v for v in range(n) if v % 3 != 2]
     rim = [v for v in range(n) if v % 3 == 2][:-1]
     if dense:
-        k, tail = main[:10], main[10:]
-        pairs = [(u, v) for i, u in enumerate(k) for v in k[i + 1:]]
-        edges = rng.sample(pairs, len(pairs) - 3) + list(zip(tail, tail[1:]))
+        k, tail = main[:13], main[13:]
+        rng.shuffle(k)
+        leaves = k[1:]
+        edges = [(k[0], v) for v in leaves] + list(zip(leaves[::2], leaves[1::2]))
+        edges += list(zip(tail, tail[1:]))
     else:
         h = _tree_plus_edges(rng, len(main), 2)
         edges = [(main[u], main[v]) for u, v in h.edges()]
@@ -468,8 +506,9 @@ class TestOneBfsRoute:
             assert mis_alpha(g) == TestNetworkxCrossCheck._nx_mis_alpha(g), n
 
     def test_dense_component_takes_the_walk(self, monkeypatch):
-        """K_10 minus three edges has more than PIN_LIMIT co-tree
-        endpoints, so it alone is relabelled and walked."""
+        """The star of order 13 with six edges between its leaves has
+        more independent sets of co-tree endpoints than the cap allows,
+        so it alone is relabelled and walked."""
         import random
 
         import misbounds.counting as counting
@@ -480,7 +519,7 @@ class TestOneBfsRoute:
         g = _interleaved(random.Random(9300), 20, True)
         assert len(components(g)) == 4
         assert mis_alpha(g) == (mis_count_bruteforce(g), brute_alpha(g))
-        assert walked == [10]
+        assert walked == [13]
 
     def test_tree_passes_sized_by_component(self, monkeypatch):
         """Each pass allocates for its own component, not for the whole

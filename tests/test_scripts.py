@@ -89,14 +89,62 @@ def test_order_above_limit_exits_2_without_traceback(tmp_path):
 
 
 def test_crash_exits_3_not_1(script, tmp_path, capsys, monkeypatch):
-    def crash(n_max, jobs=1):
+    import misbounds.verify as verify
+
+    def crash(graph_class, n):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr(script, "verify_tree_theorem", crash)
+    monkeypatch.setattr(verify, "_scan_order", crash)
     code = script.main(["--out-dir", str(tmp_path), *TINY_SCOPE])
     out, err = capsys.readouterr()
     assert code == 3 and out == ""
     assert err == "internal error: RuntimeError: boom\n"
+
+
+def test_task_crash_in_the_pool_exits_3(script, tmp_path, capsys, monkeypatch):
+    """A task that raises in a pool worker (forked after the patch) ends
+    the run with exit 3, not 1, and prints no result line."""
+    import misbounds.verify as verify
+
+    def crash(graph_class, shape):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(verify, "shape_mis_alpha", crash)
+    code = script.main(["--out-dir", str(tmp_path), *TINY_SCOPE, "--jobs", "2"])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert err == "internal error: RuntimeError: boom\n"
+
+
+def test_files_do_not_depend_on_jobs(script, tmp_path, capsys):
+    scope = ["--tree-max-n", "10", "--unicyclic-max-n", "9", "--forest-max-n", "9",
+             "--cycle-max-n", "14", "--lemma-limit", "14"]
+    files = {}
+    for jobs in (1, 2, 3):
+        out = tmp_path / f"jobs{jobs}"
+        assert script.main(["--out-dir", str(out), *scope, "--jobs", str(jobs)]) == 0
+        files[jobs] = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert sorted(files[1]) == NINE_FILES
+    assert files[1] == files[2] == files[3]
+
+
+def test_limits_are_checked_before_any_task(script, tmp_path, capsys, monkeypatch):
+    import misbounds.verify as verify
+
+    def scanned(graph_class, n):
+        raise AssertionError("a scan started")
+
+    monkeypatch.setattr(verify, "_scan_order", scanned)
+    code = script.main(["--out-dir", str(tmp_path / "certs"), "--unicyclic-max-n", "15"])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (2, "", "error: order 15 above unicyclic limit 14\n")
+    assert not (tmp_path / "certs").exists()
+
+
+def test_unicyclic_above_limit_exits_2_with_empty_stdout(tmp_path):
+    proc = _run_script(SCRIPT, "--out-dir", str(tmp_path), "--unicyclic-max-n", "15")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: order 15 above unicyclic limit 14\n"
 
 
 def test_census_tiny_order_exits_0(capsys):

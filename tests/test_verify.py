@@ -230,9 +230,10 @@ class TestWorkerBound:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, *iterables):
-                seen["orders"] = list(iterables[1])
-                return map(fn, iterables[0], seen["orders"])
+            def map(self, fn, tasks):
+                tasks = list(tasks)
+                seen["orders"] = [args[1] for _, args in tasks]
+                return map(fn, tasks)
 
         monkeypatch.setattr(verify.os, "cpu_count", lambda: cores)
         monkeypatch.setattr(verify, "ProcessPoolExecutor", SerialPool)
