@@ -17,7 +17,6 @@ from .counting import (
     independence_number,
     mis_alpha,
     mis_count,
-    mis_enumerate,
 )
 from .extremal import (
     ExtremalSpec,
@@ -39,12 +38,9 @@ from .generate import (
 )
 from .graphs import (
     Classification,
-    Component,
     Graph,
     canonical_form,
-    canonical_graph,
     classify,
-    components,
     make_graph,
     parse_graph6,
     to_dot,

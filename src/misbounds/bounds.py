@@ -121,6 +121,11 @@ def unicyclic_bound(q: BoundQuery) -> BigCount:
     raise ValueError(f"no bound case covers (n={n}, alpha={a})")
 
 
+def bound(q: BoundQuery) -> BigCount:
+    """Minimum MIS count over q's class with q's order and alpha."""
+    return unicyclic_bound(q) if q.graph_class == "unicyclic" else tree_bound(q)
+
+
 def majorizes(a: tuple[BigCount, BigCount], b: tuple[BigCount, BigCount]) -> bool:
     """(a1,a2) majorizes (b1,b2) iff a1 >= b1 and a1+a2 >= b1+b2."""
     return a[0] >= b[0] and a[0] + a[1] >= b[0] + b[1]

@@ -18,9 +18,8 @@ from .bounds import (
     LEMMA2_SAMPLES,
     LEMMA2_SEED,
     BoundQuery,
+    bound,
     sweep_sequence_lemmas,
-    tree_bound,
-    unicyclic_bound,
 )
 from .counting import independence_number, mis_count
 from .extremal import ExtremalSpec, build_family, predicted_mis
@@ -85,9 +84,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_bound(args) -> int:
-    q = BoundQuery(args.graph_class, args.n, args.alpha)
-    value = unicyclic_bound(q) if args.graph_class == "unicyclic" else tree_bound(q)
-    print(value)
+    print(bound(BoundQuery(args.graph_class, args.n, args.alpha)))
     return 0
 
 

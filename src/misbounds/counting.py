@@ -1,4 +1,4 @@
-"""Exact counting and enumeration of maximal independent sets.
+"""Exact counting of maximal independent sets.
 
 Routes, each checked in the test suite against oracles that share no
 code with them (tests/oracle_helpers.py):
@@ -20,13 +20,13 @@ shape_mis_alpha counts a generator shape (trees, forests, unicyclic
 graphs) without building its graph. It reads each rooted code's root
 state from _code_state, a cache keyed by (code, pin): at most four
 entries per rooted code that generate's own code tables hold. All
-functions are pure; only mis_enumerate stores maximal sets.
+functions are pure, and none stores a maximal set.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 from .graphs import Graph, _bits, _induced
 from .graphs import classify  # noqa: F401  bench/child.py traces counting.classify
@@ -51,20 +51,10 @@ _COVERED = (0, 1, 0, _FORBIDDEN, 0)
 _S_OUT = (0, 1, 1, _FORBIDDEN, 0)
 
 
-def mis_enumerate(g: Graph) -> Iterator[frozenset[int]]:
-    """Yield every maximal independent set exactly once, in lexicographic
-    order of the sorted member lists."""
-    found: list[int] = []
-    _clique_walk(g, found)
-    for members in sorted(tuple(_bits(r)) for r in found):
-        yield frozenset(members)
-
-
-def _clique_walk(g: Graph, found: Optional[list[int]] = None) -> tuple[int, int]:
+def _clique_walk(g: Graph) -> tuple[int, int]:
     """(count, largest size) of the maximal independent sets of g: the
     maximal cliques of the complement, walked by pivoted branch and bound
-    (pivot = most candidates excluded). Each set's bitmask is stored only
-    when found is given."""
+    (pivot = most candidates excluded)."""
     n = g.order
     full = (1 << n) - 1
     comp = tuple(full & ~g.adj[v] & ~(1 << v) for v in range(n))
@@ -75,8 +65,6 @@ def _clique_walk(g: Graph, found: Optional[list[int]] = None) -> tuple[int, int]
         if p == 0 and x == 0:
             count += 1
             largest = max(largest, r.bit_count())
-            if found is not None:
-                found.append(r)
             return
         pivot_pool = p | x
         pivot = max(_bits(pivot_pool), key=lambda u: (comp[u] & p).bit_count())

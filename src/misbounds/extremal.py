@@ -22,9 +22,6 @@ from .bounds import ell_seq, g_seq, h_seq
 from .counting import mis_count
 from .graphs import Graph, make_graph
 
-FAMILIES = ("T", "H", "L", "star", "cycle", "triangle_star")
-
-
 @dataclass(frozen=True)
 class ExtremalSpec:
     """Which family to build; alpha only matters for T and H."""

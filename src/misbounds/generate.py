@@ -35,6 +35,7 @@ from .graphs import Graph, make_graph
 TREE_LIMIT = 18
 UNICYCLIC_LIMIT = 14
 FOREST_LIMIT = 16
+_ORDER_LIMITS = {"tree": TREE_LIMIT, "unicyclic": UNICYCLIC_LIMIT, "forest": FOREST_LIMIT}
 
 Code = tuple  # nested tuples; the leaf is ()
 Shape = tuple  # a class's own canonical code, see the module docstring
@@ -131,13 +132,20 @@ def shape_graph(graph_class: str, shape: Shape) -> Graph:
     return _GRAPH_OF[graph_class](shape)
 
 
+def check_order_limit(graph_class: str, n: int) -> None:
+    """Raise ValueError when n is above the class's order limit."""
+    limit = _ORDER_LIMITS[graph_class]
+    if n > limit:
+        raise ValueError(f"order {n} above {graph_class} limit {limit}")
+
+
 def tree_shapes(n: int, unsafe: bool = False) -> Iterator[Shape]:
     """One shape per isomorphism class of trees on n vertices: (code,)
     rooted at the centroid, or (half1, half2) for a bicentroid."""
     if n < 1:
         raise ValueError(f"trees need n >= 1, got {n}")
-    if n > TREE_LIMIT and not unsafe:
-        raise ValueError(f"order {n} above tree limit {TREE_LIMIT}")
+    if not unsafe:
+        check_order_limit("tree", n)
     if n == 1:
         yield ((),)
         return
@@ -163,8 +171,8 @@ def unicyclic_shapes(
     length `cycle` if given."""
     if n < 3:
         raise ValueError(f"unicyclic graphs need n >= 3, got {n}")
-    if n > UNICYCLIC_LIMIT and not unsafe:
-        raise ValueError(f"order {n} above unicyclic limit {UNICYCLIC_LIMIT}")
+    if not unsafe:
+        check_order_limit("unicyclic", n)
     for c in range(3, n + 1):
         if cycle is None or c == cycle:
             yield from _necklace_sequences(n, c)
@@ -223,8 +231,8 @@ def forest_shapes(n: int, unsafe: bool = False) -> Iterator[Shape]:
     tree shapes, a non-increasing multiset over a partition of n."""
     if n < 1:
         raise ValueError(f"forests need n >= 1, got {n}")
-    if n > FOREST_LIMIT and not unsafe:
-        raise ValueError(f"order {n} above forest limit {FOREST_LIMIT}")
+    if not unsafe:
+        check_order_limit("forest", n)
     for partition in _partitions_desc(n):
         combos = [
             combinations_with_replacement(_tree_shape_list(s), partition.count(s))

@@ -5,6 +5,12 @@ Vertices are integers 0..n-1. Adjacency is stored as one bitmask per
 vertex, which keeps set operations (neighborhood intersection, subset
 tests) cheap in pure Python at the orders this package works with.
 Graph values are immutable; every function here is pure.
+
+A canonical form is the graph6 text of the graph relabeled to its
+minimum upper-triangle encoding, packed straight from that encoding.
+A forest reaches the minimum along one path of refinement and
+individualization; every other graph takes a backtracking search
+with orbit pruning.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from math import isqrt
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Iterable, Iterator, Optional
 
 # Largest order canonical_form accepts: the search can be exponential on
 # highly regular graphs, and every class this package scans stays below it.
@@ -60,13 +66,6 @@ class Graph:
         return f"Graph(order={self.order}, edges={self.edges()})"
 
 
-class Component(NamedTuple):
-    """A connected component together with its original vertex labels."""
-
-    graph: Graph
-    vertices: tuple[int, ...]
-
-
 @dataclass(frozen=True)
 class Classification:
     """Structural class of a graph.
@@ -106,20 +105,6 @@ def make_graph(order: int, edges: Iterable[tuple[int, int]]) -> Graph:
         adj[u] |= 1 << v
         adj[v] |= 1 << u
     return Graph(order, tuple(adj))
-
-
-def components(g: Graph) -> list[Component]:
-    """Connected components, ordered by smallest original vertex index.
-
-    Each component is returned as its own Graph (vertices relabeled to a
-    contiguous range preserving relative order) plus the tuple of original
-    indices the new labels map back to.
-    """
-    out = []
-    for comp in _component_masks(g):
-        verts = tuple(_bits(comp))
-        out.append(Component(_induced(g, verts), verts))
-    return out
 
 
 def _component_masks(g: Graph) -> Iterator[int]:
@@ -376,7 +361,8 @@ def _refine(
 
 def _encode(adj: tuple[int, ...], lab: list[int]) -> int:
     """Upper-triangle column-order bitstring of the relabeled graph,
-    packed into an int with the first bit most significant."""
+    packed into an int with the first bit most significant. That is
+    graph6's bit order, so _pack_graph6 writes it as it stands."""
     enc = 0
     for j in range(1, len(lab)):
         row = adj[lab[j]]
@@ -385,38 +371,60 @@ def _encode(adj: tuple[int, ...], lab: list[int]) -> int:
     return enc
 
 
-class _CanonSearch:
-    """Individualization-refinement search for the minimum encoding.
+def _pack_graph6(n: int, enc: int) -> bytes:
+    """graph6 bytes of the order-n graph whose _encode bitstring is enc:
+    the size prefix, then six bits per character, zero-padded at the end."""
+    bits = n * (n - 1) // 2
+    chars = (bits + 5) // 6
+    enc <<= 6 * chars - bits
+    body = bytes(63 + (enc >> 6 * i & 63) for i in reversed(range(chars)))
+    return _g6_size_prefix(n).encode("ascii") + body
 
-    With single_path set it follows only the first vertex of each target
-    cell. That reaches the minimum whenever each target cell is one orbit
-    of the automorphisms fixing the current partition, which holds on
+
+def _single_path(adj: tuple[int, ...], n: int) -> int:
+    """Encoding of the labeling reached by refining, splitting off the
+    first vertex of the first non-singleton cell, and repeating.
+
+    It is the minimum encoding whenever each such cell is one orbit of
+    the automorphisms fixing the current partition, which holds on
     forests: there colour refinement finds the orbit partition (Immerman
     and Lander 1990; Arvind, Köbler, Rattan and Verbitsky 2017).
     """
+    cells, inert = [list(range(n))], set()
+    while True:
+        cells, inert = _refine(adj, cells, inert)
+        k = next((i for i, cell in enumerate(cells) if len(cell) > 1), None)
+        if k is None:
+            return _encode(adj, [cell[0] for cell in cells])
+        v, *rest = cells[k]
+        cells = cells[:k] + [[v], rest] + cells[k + 1 :]
 
-    def __init__(self, g: Graph, single_path: bool):
+
+class _CanonSearch:
+    """Individualization-refinement search for the minimum encoding."""
+
+    def __init__(self, g: Graph):
         self.adj = g.adj
         self.n = g.order
         self.m = g.order * (g.order - 1) // 2
         self.best_enc: Optional[int] = None
         self.best_lab: Optional[list[int]] = None
         self.autos: list[tuple[int, ...]] = []
-        self.single_path = single_path
         # Twin classes: vertices with identical open (or closed)
         # neighborhoods are interchangeable by a transposition, which
         # prunes the leaf-bundle and clique blowups without waiting for
-        # automorphism discovery. The single path prunes nothing.
+        # automorphism discovery.
         groups: dict[tuple[int, int], list[int]] = {}
-        for v in range(0 if single_path else self.n):
+        for v in range(self.n):
             groups.setdefault((0, g.adj[v]), []).append(v)
             groups.setdefault((1, g.adj[v] | 1 << v), []).append(v)
         self.twin_groups = [vs for vs in groups.values() if len(vs) > 1]
 
-    def run(self) -> list[int]:
+    def run(self) -> int:
+        """The minimum encoding."""
         self._search([list(range(self.n))], [], set())
-        assert self.best_lab is not None
-        return self.best_lab
+        assert self.best_enc is not None
+        return self.best_enc
 
     def _orbit_reps(self, fixed: list[int]) -> list[int]:
         """Union-find parents under automorphisms fixing `fixed` pointwise."""
@@ -469,7 +477,7 @@ class _CanonSearch:
                 return
         target = cells[k]
         tried: list[int] = []
-        for v in target[:1] if self.single_path else target:
+        for v in target:
             if tried:
                 # recomputed per candidate: child searches append automorphisms
                 reps = self._orbit_reps(fixed)
@@ -484,24 +492,21 @@ class _CanonSearch:
             self._search(child, fixed + [v], inert)
 
 
-def canonical_graph(g: Graph) -> Graph:
-    """Relabel to the canonical labeling (minimal column-order encoding)."""
-    if g.order > ISO_LIMIT:
-        raise ValueError(f"order {g.order} exceeds isomorphism limit {ISO_LIMIT}")
-    if g.order <= 1:
-        return g
-    forest = g.edge_count == g.order - sum(1 for _ in _component_masks(g))
-    lab = _CanonSearch(g, forest).run()
-    pos = [0] * g.order
-    for p, v in enumerate(lab):
-        pos[v] = p
-    return make_graph(g.order, [(pos[u], pos[v]) for u, v in g.edges()])
-
-
 def canonical_form(g: Graph) -> bytes:
     """Canonical byte string: equal for two graphs iff they are isomorphic.
 
-    The bytes are the graph6 encoding of the canonically relabeled graph,
-    so any canonical form can be parsed back into a representative.
+    The bytes are the graph6 encoding of the graph relabeled to its
+    minimum encoding, so any canonical form parses back into a
+    representative. A forest takes the single path, any other graph the
+    full search.
     """
-    return write_graph6(canonical_graph(g)).encode("ascii")
+    n = g.order
+    if n > ISO_LIMIT:
+        raise ValueError(f"order {n} exceeds isomorphism limit {ISO_LIMIT}")
+    if n <= 1:
+        enc = 0
+    elif g.edge_count == n - sum(1 for _ in _component_masks(g)):
+        enc = _single_path(g.adj, n)
+    else:
+        enc = _CanonSearch(g).run()
+    return _pack_graph6(n, enc)

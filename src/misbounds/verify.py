@@ -24,19 +24,16 @@ from typing import Callable, Iterable, NamedTuple
 from .bounds import (
     BoundQuery,
     LemmaSweep,
+    bound,
     check_lemma_limit,
     ell_seq,
     sweep_sequence_lemmas,
-    tree_bound,
-    unicyclic_bound,
 )
 from .counting import independence_number, shape_mis_alpha
 from .counting import mis_count  # noqa: F401  bench/child.py traces verify.mis_count
 from .generate import (
-    FOREST_LIMIT,
-    TREE_LIMIT,
-    UNICYCLIC_LIMIT,
     GenerationTask,
+    check_order_limit,
     shape_graph,
     shape_stream,
     unicyclic_graphs,
@@ -60,7 +57,6 @@ STATUS_SHARP = "holds_sharp"
 STATUS_NOT_SHARP = "holds_not_sharp"
 STATUS_VIOLATED = "violated"
 
-_ORDER_LIMITS = {"tree": TREE_LIMIT, "unicyclic": UNICYCLIC_LIMIT, "forest": FOREST_LIMIT}
 _MIN_ORDER = {"tree": 2, "unicyclic": 3, "forest": 1, "claim1": 4, "cycle": 5}
 
 
@@ -117,13 +113,6 @@ def _scan_order(graph_class: str, n: int) -> dict[int, _Bucket]:
     return buckets
 
 
-def _bound_for(graph_class: str, n: int, alpha: int) -> int:
-    q = BoundQuery(graph_class, n, alpha)
-    if graph_class == "unicyclic":
-        return unicyclic_bound(q)
-    return tree_bound(q)
-
-
 @dataclass
 class VerifyResult:
     records: list[VerificationRecord]
@@ -146,10 +135,10 @@ def _class_result(graph_class: str, buckets_by_n: dict[int, dict[int, _Bucket]])
     result = VerifyResult(records=[])
     for n in sorted(buckets_by_n):
         for alpha, b in sorted(buckets_by_n[n].items()):
-            bound = _bound_for(graph_class, n, alpha)
-            if b.min_mis < bound:
+            floor = bound(BoundQuery(graph_class, n, alpha))
+            if b.min_mis < floor:
                 status = STATUS_VIOLATED
-            elif b.min_mis == bound:
+            elif b.min_mis == floor:
                 status = STATUS_SHARP
             else:
                 status = STATUS_NOT_SHARP
@@ -158,7 +147,7 @@ def _class_result(graph_class: str, buckets_by_n: dict[int, dict[int, _Bucket]])
                     graph_class=graph_class,
                     n=n,
                     alpha=alpha,
-                    bound=bound,
+                    bound=floor,
                     min_mis=b.min_mis,
                     minimizer_count=len(b.forms),
                     witness=b.forms[0],
@@ -196,10 +185,8 @@ def _orders(check: str, n_max: int) -> range:
     lo = _MIN_ORDER[check]
     if n_max < lo:
         raise ValueError(f"need n_max >= {lo}")
-    graph_class = "unicyclic" if check == "claim1" else check
-    limit = _ORDER_LIMITS.get(graph_class)
-    if limit is not None and n_max > limit:
-        raise ValueError(f"order {n_max} above {graph_class} limit {limit}")
+    if check != "cycle":
+        check_order_limit("unicyclic" if check == "claim1" else check, n_max)
     return range(lo, n_max + 1)
 
 
@@ -413,7 +400,10 @@ def certify(out_dir: str, scope: CertifyScope = CertifyScope(), jobs: int = 1) -
     keys = sorted(tasks, key=_task_cost, reverse=True)
     done = dict(zip(keys, _run_tasks([tasks[k] for k in keys], jobs)))
 
-    classes = {c: _class_result(c, {n: done[c, n][0] for n in orders[c]}) for c in _ORDER_LIMITS}
+    classes = {
+        c: _class_result(c, {n: done[c, n][0] for n in orders[c]})
+        for c in ("tree", "unicyclic", "forest")
+    }
     run = Certification(
         classes=classes,
         seconds={c: sum(done[c, n][1] for n in orders[c]) for c in classes},

@@ -2,12 +2,12 @@
 
 Everything here is deliberately naive: subset loops (one vectorized
 with numpy, one in plain Python), the paper's support-vertex recursion,
-the Perrin-type cycle recurrence, permutation sweeps, the partition
-refinement as it was before inert splitters, Pruefer decoding,
-levelwise labeled growth with canonical dedup, and lemma 2's sampling
-loop drawn one randrange at a time. None of it shares
-algorithms with the package's counting routes, and the package itself
-does not import this module.
+the Perrin-type cycle recurrence, a depth-first component split,
+permutation sweeps, the partition refinement as it was before inert
+splitters, Pruefer decoding, levelwise labeled growth with canonical
+dedup, and lemma 2's sampling loop drawn one randrange at a time. None
+of it shares algorithms with the package's counting routes, and the
+package itself does not import this module.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from misbounds.graphs import (
     Graph,
     canonical_form,
     classify,
-    components,
     make_graph,
     write_graph6,
 )
@@ -152,6 +151,26 @@ def delete_vertices(g: Graph, s: Iterable[int]) -> Graph:
     return make_graph(len(pos), edges)
 
 
+def split_components(g: Graph) -> list[tuple[Graph, tuple[int, ...]]]:
+    """Connected components by smallest vertex, found by depth-first
+    search: each as its own graph (labels kept in order) with the
+    original labels of its vertices."""
+    out = []
+    placed: set[int] = set()
+    for start in range(g.order):
+        if start in placed:
+            continue
+        comp, stack = {start}, [start]
+        while stack:
+            for w in _neighbors(g, stack.pop()):
+                if w not in comp:
+                    comp.add(w)
+                    stack.append(w)
+        placed |= comp
+        out.append((delete_vertices(g, set(range(g.order)) - comp), tuple(sorted(comp))))
+    return out
+
+
 def closed_neighborhood(g: Graph, v: int) -> frozenset[int]:
     return frozenset([v, *_neighbors(g, v)])
 
@@ -229,7 +248,7 @@ def support_vertex_mis_count(g: Graph) -> int:
     Exponential without a memo, so keep it to small orders.
     """
     total = 1
-    for comp, _ in components(g):
+    for comp, _ in split_components(g):
         if comp.order <= 2:
             total *= comp.order or 1
             continue

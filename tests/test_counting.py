@@ -11,7 +11,6 @@ from misbounds.counting import (
     independence_number,
     mis_alpha,
     mis_count,
-    mis_enumerate,
     shape_mis_alpha,
 )
 from misbounds.generate import (
@@ -22,11 +21,12 @@ from misbounds.generate import (
     unicyclic_graph,
     unicyclic_shapes,
 )
-from misbounds.graphs import classify, components, make_graph
+from misbounds.graphs import classify, make_graph
 
 from conftest import graphs, labeled_forests, labeled_trees, trees_with_extra_edges
 from oracle_helpers import (
     brute_alpha,
+    brute_maximal_sets,
     brute_mis_count,
     closed_neighborhood,
     delete_vertices,
@@ -35,6 +35,7 @@ from oracle_helpers import (
     mis_count_cycle,
     permute,
     pruefer_tree,
+    split_components,
     support_vertex_mis_count,
 )
 
@@ -72,37 +73,32 @@ class TestBruteforce:
 
 
 class TestEnumerate:
+    """The clique walk counts the maximal sets and their largest size
+    without storing any; the subset loop lists them for comparison."""
+
     def test_star_two_sets(self):
-        assert list(mis_enumerate(star(5))) == [
-            frozenset({0}),
-            frozenset({1, 2, 3, 4}),
-        ]
+        assert brute_maximal_sets(star(5)) == [frozenset({0}), frozenset({1, 2, 3, 4})]
+        assert _clique_walk(star(5)) == (2, 4)
 
     def test_c4_two_sets(self):
-        assert list(mis_enumerate(cycle(4))) == [frozenset({0, 2}), frozenset({1, 3})]
+        assert brute_maximal_sets(cycle(4)) == [frozenset({0, 2}), frozenset({1, 3})]
+        assert _clique_walk(cycle(4)) == (2, 2)
 
     def test_edgeless(self):
-        assert list(mis_enumerate(make_graph(3, []))) == [frozenset({0, 1, 2})]
+        assert brute_maximal_sets(make_graph(3, [])) == [frozenset({0, 1, 2})]
+        assert _clique_walk(make_graph(3, [])) == (1, 3)
 
     def test_null(self):
-        assert list(mis_enumerate(make_graph(0, []))) == [frozenset()]
+        assert brute_maximal_sets(make_graph(0, [])) == [frozenset()]
+        assert _clique_walk(make_graph(0, [])) == (1, 0)
 
-    def test_lexicographic_order(self):
-        sets = [tuple(sorted(s)) for s in mis_enumerate(cycle(7))]
-        assert sets == sorted(sets)
+    def test_cycles_match_the_recurrence(self):
+        for n in range(3, 31):
+            assert _clique_walk(cycle(n)) == (mis_count_cycle(n), n // 2)
 
     @given(graphs(max_n=9))
-    def test_sets_are_maximal_independent_and_unique(self, g):
-        seen = set()
-        for s in mis_enumerate(g):
-            assert s not in seen
-            seen.add(s)
-            for u in s:
-                assert not (g.adj[u] & sum(1 << v for v in s))
-            outside = set(range(g.order)) - s
-            for v in outside:
-                assert g.adj[v] & sum(1 << u for u in s)
-        assert len(seen) == mis_count_bruteforce(g)
+    def test_walk_matches_brute_force(self, g):
+        assert _clique_walk(g) == (mis_count_bruteforce(g), brute_alpha(g))
 
 
 class TestForestCount:
@@ -188,16 +184,15 @@ class TestDispatcher:
     @given(graphs(max_n=9))
     def test_lemma4_component_product(self, g):
         prod = 1
-        for comp, _ in components(g):
+        for comp, _ in split_components(g):
             prod *= mis_count(comp)
         assert mis_count(g) == prod
 
     @given(graphs(max_n=10))
     def test_oracle_equivalence(self, g):
-        want = mis_count_bruteforce(g)
-        assert mis_count(g) == want
-        assert sum(1 for _ in mis_enumerate(g)) == want
-        assert independence_number(g) == brute_alpha(g)
+        want = mis_count_bruteforce(g), brute_alpha(g)
+        assert (mis_count(g), independence_number(g)) == want
+        assert _clique_walk(g) == want
 
     def test_other_component_stores_no_sets(self):
         """A hub joined to 8 disjoint triangles has 3^8 + 1 maximal sets;
@@ -235,12 +230,12 @@ class TestOracleEquivalenceFullScale:
             for t in free_trees(n):
                 want = mis_count_bruteforce(t)
                 assert mis_count(t) == want
-                assert sum(1 for _ in mis_enumerate(t)) == want
+                assert _clique_walk(t) == (want, independence_number(t))
         for n in range(3, 13):
             for g in unicyclic_graphs(n):
                 want = mis_count_bruteforce(g)
                 assert mis_count(g) == want
-                assert sum(1 for _ in mis_enumerate(g)) == want
+                assert _clique_walk(g) == (want, independence_number(g))
 
 
 class TestSupportVertexOracle:
@@ -254,7 +249,7 @@ class TestSupportVertexOracle:
         assert len(cases) == 987 + 1040
         for g in cases:
             assert mis_count(g) == support_vertex_mis_count(g)
-            assert independence_number(g) == max(len(s) for s in mis_enumerate(g))
+            assert independence_number(g) == _clique_walk(g)[1]
 
     def test_components_multiply(self):
         g = make_graph(9, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 3), (6, 7)])
@@ -517,7 +512,7 @@ class TestOneBfsRoute:
         walk = counting._clique_walk
         monkeypatch.setattr(counting, "_clique_walk", lambda c: walked.append(c.order) or walk(c))
         g = _interleaved(random.Random(9300), 20, True)
-        assert len(components(g)) == 4
+        assert len(split_components(g)) == 4
         assert mis_alpha(g) == (mis_count_bruteforce(g), brute_alpha(g))
         assert walked == [13]
 
@@ -543,7 +538,7 @@ class TestOneBfsRoute:
         import random
 
         g = _interleaved(random.Random(9400), 14, False)
-        for comp, verts in components(g):
+        for comp, verts in split_components(g):
             mask, counts = _pinned_mis_alpha(g, verts[0])
             assert mask == sum(1 << v for v in verts)
             assert counts is None or counts == mis_alpha(comp)

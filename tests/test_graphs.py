@@ -8,13 +8,16 @@ import hypothesis.strategies as st
 
 from misbounds.generate import forests, free_trees
 from misbounds.graphs import (
+    ISO_LIMIT,
     Graph,
     _CanonSearch,
+    _component_masks,
+    _encode,
+    _pack_graph6,
     _refine,
+    _single_path,
     canonical_form,
-    canonical_graph,
     classify,
-    components,
     make_graph,
     parse_dot,
     parse_graph6,
@@ -29,6 +32,7 @@ from oracle_helpers import (
     find_support_reduction,
     permute,
     refine_reference,
+    split_components,
 )
 
 
@@ -195,24 +199,20 @@ class TestDeleteAndComponents:
 
     def test_two_triangles(self):
         g = make_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
-        comps = components(g)
-        assert len(comps) == 2
-        assert all(c.graph.order == 3 for c in comps)
+        assert list(_component_masks(g)) == [0b000111, 0b111000]
 
     def test_connected_graph_single_component(self):
-        g = cycle(5)
-        comps = components(g)
-        assert len(comps) == 1 and comps[0].graph == g
+        assert list(_component_masks(cycle(5))) == [0b11111]
 
     def test_null_graph_no_components(self):
-        assert components(make_graph(0, [])) == []
+        assert list(_component_masks(make_graph(0, []))) == []
 
     @given(graphs(max_n=9))
     def test_components_partition(self, g):
-        comps = components(g)
-        all_verts = [v for c in comps for v in c.vertices]
-        assert sorted(all_verts) == list(range(g.order))
-        assert sum(c.graph.order for c in comps) == g.order
+        masks = list(_component_masks(g))
+        want = split_components(g)
+        assert masks == [sum(1 << v for v in verts) for _, verts in want]
+        assert sum(m.bit_count() for m in masks) == g.order
 
     @given(graphs(max_n=8), st.data())
     def test_deletion_preserves_preimage_edges(self, g, data):
@@ -348,9 +348,8 @@ class TestCanonicalForm:
             make_graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)]),
         ]
         for g in samples:
-            # same equality classes: canonical graph must be isomorphic
-            # to g and shared by the brute-forced minimum relabeling
-            assert write_graph6(canonical_graph(g)) == brute_canonical(g)
+            # the form is the minimum graph6 text over all relabelings
+            assert canonical_form(g).decode() == brute_canonical(g)
 
     def test_partitions_all_small_graphs_exactly_like_brute_force(self):
         # every labeled graph on up to 5 vertices: the canonical form
@@ -376,10 +375,35 @@ class TestCanonicalForm:
         assert canonical_form(g) == canonical_form(permute(g, perm))
 
     @given(graphs(max_n=8))
-    def test_canonical_graph_is_isomorphic_relabeling(self, g):
-        h = canonical_graph(g)
+    def test_form_parses_to_an_isomorphic_relabeling(self, g):
+        form = canonical_form(g)
+        h = parse_graph6(form.decode())
         assert h.order == g.order and h.edge_count == g.edge_count
-        assert canonical_form(h) == canonical_form(g)
+        assert canonical_form(h) == form
+
+
+class TestGraph6Packing:
+    """canonical_form packs an _encode bitstring into graph6 itself. The
+    bytes must be write_graph6 of the graph relabeled the same way. From
+    order 2 to 20 the bit count n(n-1)/2 is 0, 1, 3 and 4 mod 6, so every
+    padding length the orders reach is checked."""
+
+    def test_matches_write_graph6_of_the_relabeled_graph(self):
+        import random
+
+        rng = random.Random(6)
+        paddings = set()
+        for n in range(2, ISO_LIMIT + 1):
+            paddings.add(n * (n - 1) // 2 % 6)
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            for p in (0.1, 0.3, 0.5, 0.7, 0.9, 1.0):
+                g = make_graph(n, [e for e in pairs if rng.random() < p])
+                lab = list(range(n))
+                rng.shuffle(lab)
+                pos = {v: i for i, v in enumerate(lab)}
+                h = make_graph(n, [(pos[u], pos[v]) for u, v in g.edges()])
+                assert _pack_graph6(n, _encode(g.adj, lab)) == write_graph6(h).encode(), (n, p)
+        assert paddings == {0, 1, 3, 4}
 
 
 def _random_graph(rng, n):
@@ -416,14 +440,8 @@ class TestInertRefinement:
                 assert inert == carried  # siblings reuse the parent's set
 
 
-def _min_encoding(g, single_path):
-    search = _CanonSearch(g, single_path)
-    search.run()
-    return search.best_enc
-
-
 class TestForestSinglePath:
-    """On a forest the search follows one vertex per level. It must reach
+    """On a forest _single_path follows one vertex per level. It must reach
     the full search's minimum encoding on every generated tree and forest,
     as generated and under a shuffled labeling: the generator's labels are
     structured, and shuffled ones exercise the orbit argument."""
@@ -438,17 +456,18 @@ class TestForestSinglePath:
                 perm = list(range(n))
                 rng.shuffle(perm)
                 for h in (g, permute(g, perm)):
-                    assert _min_encoding(h, True) == _min_encoding(h, False), write_graph6(h)
+                    assert _single_path(h.adj, n) == _CanonSearch(h).run(), write_graph6(h)
 
     def test_only_forests_take_the_single_path(self, monkeypatch):
         import misbounds.graphs as graphs_mod
 
-        flags = []
-        search = graphs_mod._CanonSearch
+        routes = []
+        walk, search = graphs_mod._single_path, graphs_mod._CanonSearch
         monkeypatch.setattr(
-            graphs_mod, "_CanonSearch", lambda g, single: flags.append(single) or search(g, single)
+            graphs_mod, "_single_path", lambda adj, n: routes.append("path") or walk(adj, n)
         )
+        monkeypatch.setattr(graphs_mod, "_CanonSearch", lambda g: routes.append("search") or search(g))
         triangle_and_edge = make_graph(5, [(0, 1), (1, 2), (0, 2), (3, 4)])
         for g in (path(6), star(5), make_graph(5, [(0, 1), (2, 3)]), cycle(6), triangle_and_edge):
             canonical_form(g)
-        assert flags == [True, True, True, False, False]
+        assert routes == ["path", "path", "path", "search", "search"]
