@@ -118,6 +118,8 @@ def _default_jobs() -> int:
 
 def _cmd_verify(args) -> int:
     jobs = args.jobs if args.jobs is not None else _default_jobs()
+    if jobs < 1:
+        raise UsageError(f"--jobs must be at least 1, got {jobs}")
     if args.graph_class in ("tree", "forest", "unicyclic"):
         runner = {
             "tree": verify_tree_theorem,

@@ -19,7 +19,7 @@ grow a vertex's state one child at a time through _adopt.
 shape_mis_alpha counts a generator shape (trees, forests, unicyclic
 graphs) without building its graph. It reads each rooted code's root
 state from _code_state, a cache keyed by (code, pin): at most four
-entries per rooted code that generate's own code tables hold. All
+entries per code in the rooted table (misbounds.rooted). All
 functions are pure, and none stores a maximal set.
 """
 
@@ -30,6 +30,7 @@ from typing import Iterable, Optional
 
 from .graphs import Graph, _bits, _induced
 from .graphs import classify  # noqa: F401  bench/child.py traces counting.classify
+from .rooted import _CHILDREN
 
 # Pinned runs cost one tree pass over the component's k vertices per
 # independent subset of the co-tree endpoints W. A component takes them
@@ -168,7 +169,8 @@ def _adopt(state: State, child: State) -> State:
     in_s, out, bare, inc, exc = state
     c_in, c_out, c_bare, c_inc, c_exc = child
     dom = c_out - c_bare
-    return (in_s * c_out, out * (c_in + dom), bare * dom, inc + c_exc, exc + max(c_inc, c_exc))
+    best = c_inc if c_inc > c_exc else c_exc
+    return (in_s * c_out, out * (c_in + dom), bare * dom, inc + c_exc, exc + best)
 
 
 def _root_mis_alpha(state: State) -> tuple[int, int]:
@@ -200,8 +202,8 @@ def shape_mis_alpha(graph_class: str, shape: tuple) -> tuple[int, int]:
 
 
 def _tree_state(shape: tuple) -> State:
-    """Root state of a tree shape: (centroid code,) or two half codes
-    whose roots are joined."""
+    """Root state of a tree shape: (centroid's child codes,) or two half
+    codes whose roots are joined."""
     if len(shape) == 2:
         return _adopt(_code_state(shape[0], _FREE), _code_state(shape[1], _FREE))
     return _fold(_FREE, shape[0])
@@ -210,11 +212,12 @@ def _tree_state(shape: tuple) -> State:
 def _cycle_mis_alpha(seq: tuple) -> tuple[int, int]:
     """Cycle vertex i carries rooted code seq[i]; the spanning tree is the
     path 0..c-1 rooted at 0, and the pins go on 0 and c-1."""
+    mids = [_code_state(code, _FREE) for code in seq[-2:0:-1]]
     mis = alpha = 0
     for first, last in ((_S_OUT, _S_OUT), (_S_IN, _COVERED), (_COVERED, _S_IN)):
         state = _code_state(seq[-1], last)
-        for code in seq[-2:0:-1]:
-            state = _adopt(_code_state(code, _FREE), state)
+        for mid in mids:
+            state = _adopt(mid, state)
         m, a = _root_mis_alpha(_adopt(_code_state(seq[0], first), state))
         mis += m
         alpha = max(alpha, a)
@@ -222,15 +225,14 @@ def _cycle_mis_alpha(seq: tuple) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=None)
-def _code_state(code: tuple, pin: State) -> State:
-    """Root state of a rooted code (generate's nested tuples of child
-    codes) started from `pin`. Shapes reach it only with codes from
-    generate's own rooted-code tables and with four pins, so it holds at
-    most four states per code those tables hold."""
-    return _fold(pin, code)
+def _code_state(code: int, pin: State) -> State:
+    """Root state of a rooted code started from `pin`. Shapes reach it
+    only with codes in the rooted table and with four pins, so it holds
+    at most four states per code there."""
+    return _fold(pin, _CHILDREN[code])
 
 
-def _fold(state: State, children: tuple) -> State:
+def _fold(state: State, children: tuple[int, ...]) -> State:
     for child in children:
         state = _adopt(state, _code_state(child, _FREE))
     return state

@@ -1,10 +1,10 @@
 """Isomorph-free streaming generation of free trees, unicyclic graphs,
 and forests of a given order.
 
-Rooted trees are represented by nested canonical codes: a code is the
-tuple of its child codes sorted descending under (size, code). Free
-trees are rooted at their centroid, so each isomorphism class appears
-exactly once: either a root whose child subtrees all have at most
+Rooted trees are the int codes of misbounds.rooted: ranks ordered by
+size and then by the non-increasing tuple of child codes. Free trees
+are rooted at their centroid, so each isomorphism class appears exactly
+once: either a root whose child subtrees all have at most
 floor((n-1)/2) vertices, or (even n) an unordered pair of rooted trees
 of order n/2 joined at the roots. Unicyclic graphs choose a cycle
 length c and a sequence of rooted trees hanging off the cycle that is
@@ -12,11 +12,11 @@ canonical (maximal) under the dihedral symmetry of the cycle. Forests
 are non-increasing multisets of free trees whose orders partition n.
 
 Each class has one enumerator, which yields shapes: the generator's own
-canonical codes. A tree is (centroid code,) or (half1, half2) for a
-bicentroid, a unicyclic graph is its necklace of c rooted codes, and a
-forest is its tuple of tree shapes. The graph streams map the class's
-builder over its shapes; counting.shape_mis_alpha counts a shape without
-building it.
+canonical codes. A tree is (children,), the centroid's tuple of child
+codes, or (half1, half2) for a bicentroid, a unicyclic graph is its
+necklace of c rooted codes, and a forest is its tuple of tree shapes.
+The graph streams map the class's builder over its shapes;
+counting.shape_mis_alpha counts a shape without building it.
 
 Streams are deterministic and restartable: the same order always yields
 the same graphs in the same sequence.
@@ -31,73 +31,35 @@ from typing import Iterator, Optional
 
 from .counting import shape_mis_alpha
 from .graphs import Graph, make_graph
+from .rooted import _CHILDREN, _FIRST, _SIZE, child_multisets, last_code, rooted_tree_codes
 
 TREE_LIMIT = 18
 UNICYCLIC_LIMIT = 14
 FOREST_LIMIT = 16
 _ORDER_LIMITS = {"tree": TREE_LIMIT, "unicyclic": UNICYCLIC_LIMIT, "forest": FOREST_LIMIT}
 
-Code = tuple  # nested tuples; the leaf is ()
 Shape = tuple  # a class's own canonical code, see the module docstring
 
 
-@lru_cache(maxsize=None)
-def _code_key(code: Code) -> tuple:
-    """Total order on rooted-tree codes: by size, then recursively."""
-    keys = tuple(_code_key(child) for child in code)
-    return (1 + sum(k[0] for k in keys), keys)
-
-
-@lru_cache(maxsize=None)
-def rooted_tree_codes(order: int) -> tuple[Code, ...]:
-    """All canonical rooted trees on `order` vertices, descending by key."""
-    if order < 1:
-        return ()
-    if order == 1:
-        return ((),)
-    out = [tuple(children) for children in _child_multisets(order - 1, order - 1, None)]
-    out.sort(key=_code_key, reverse=True)
-    return tuple(out)
-
-
-def _child_multisets(
-    total: int, max_size: int, bound: Optional[Code]
-) -> Iterator[tuple[Code, ...]]:
-    """Key-descending multisets of rooted codes with sizes summing to total.
-
-    max_size caps every part; bound (when given) caps the first part's
-    key so the multiset stays non-increasing along the recursion.
-    """
-    if total == 0:
-        yield ()
-        return
-    top = min(total, max_size)
-    for size in range(top, 0, -1):
-        for code in rooted_tree_codes(size):
-            if bound is not None and _code_key(code) > _code_key(bound):
-                continue
-            for rest in _child_multisets(total - size, max_size, code):
-                yield (code,) + rest
-
-
 def _add_rooted(
-    edges: list[tuple[int, int]], code: Code, root: int, next_free: int
+    edges: list[tuple[int, int]], children: tuple[int, ...], root: int, next_free: int
 ) -> int:
-    """Wire `code`'s tree rooted at `root`; returns the next free index."""
-    for child in code:
+    """Wire below `root` a subtree per child code, depth first; returns
+    the next free index."""
+    for child in children:
         edges.append((root, next_free))
-        next_free = _add_rooted(edges, child, next_free, next_free + 1)
+        next_free = _add_rooted(edges, _CHILDREN[child], next_free, next_free + 1)
     return next_free
 
 
 def _add_tree(edges: list[tuple[int, int]], shape: Shape, root: int) -> int:
     """Wire a tree shape from `root` on; returns the next free index. A
     second half code hangs at the first index after the first half."""
-    nxt = _add_rooted(edges, shape[0], root, root + 1)
-    if len(shape) == 2:
-        edges.append((root, nxt))
-        nxt = _add_rooted(edges, shape[1], nxt, nxt + 1)
-    return nxt
+    if len(shape) == 1:
+        return _add_rooted(edges, shape[0], root, root + 1)
+    nxt = _add_rooted(edges, _CHILDREN[shape[0]], root, root + 1)
+    edges.append((root, nxt))
+    return _add_rooted(edges, _CHILDREN[shape[1]], nxt, nxt + 1)
 
 
 def tree_graph(shape: Shape) -> Graph:
@@ -111,7 +73,7 @@ def unicyclic_graph(shape: Shape) -> Graph:
     edges = [(i, (i + 1) % c) for i in range(c)]
     nxt = c
     for pos, code in enumerate(shape):
-        nxt = _add_rooted(edges, code, pos, nxt)
+        nxt = _add_rooted(edges, _CHILDREN[code], pos, nxt)
     return make_graph(nxt, edges)
 
 
@@ -140,16 +102,13 @@ def check_order_limit(graph_class: str, n: int) -> None:
 
 
 def tree_shapes(n: int, unsafe: bool = False) -> Iterator[Shape]:
-    """One shape per isomorphism class of trees on n vertices: (code,)
+    """One shape per isomorphism class of trees on n vertices: (children,)
     rooted at the centroid, or (half1, half2) for a bicentroid."""
     if n < 1:
         raise ValueError(f"trees need n >= 1, got {n}")
     if not unsafe:
         check_order_limit("tree", n)
-    if n == 1:
-        yield ((),)
-        return
-    for children in _child_multisets(n - 1, (n - 1) // 2, None):
+    for children in child_multisets(n - 1, last_code((n - 1) // 2)):
         yield (children,)
     if n % 2 == 0:
         halves = rooted_tree_codes(n // 2)
@@ -184,44 +143,32 @@ def unicyclic_graphs(n: int, unsafe: bool = False, cycle: Optional[int] = None) 
     return map(unicyclic_graph, unicyclic_shapes(n, unsafe, cycle))
 
 
-def _necklace_sequences(n: int, c: int) -> Iterator[tuple[Code, ...]]:
+def _necklace_sequences(n: int, c: int) -> Iterator[tuple[int, ...]]:
     """Length-c sequences of rooted codes, sizes >= 1 summing to n,
-    canonical (maximal key tuple) under rotation and reflection."""
-    first_choices = [
-        code for size in range(n - c + 1, 0, -1) for code in rooted_tree_codes(size)
-    ]
+    canonical (maximal) under rotation and reflection."""
 
-    def extend(seq: list[Code], used: int) -> Iterator[tuple[Code, ...]]:
-        pos = len(seq)
-        if pos == c:
-            if used == n:
-                cand = tuple(seq)
+    def extend(seq: tuple[int, ...], used: int) -> Iterator[tuple[int, ...]]:
+        left = n - used
+        if len(seq) == c - 1:  # the last code takes exactly the vertices left
+            for code in range(min(seq[0], _FIRST[left + 1] - 1), _FIRST[left] - 1, -1):
+                cand = seq + (code,)
                 if _is_necklace_canonical(cand):
                     yield cand
             return
-        remaining = n - used
-        slots_left = c - pos
-        max_here = remaining - (slots_left - 1)
-        bound_key = _code_key(seq[0])
-        for size in range(min(max_here, bound_key[0]), 0, -1):
-            for code in rooted_tree_codes(size):
-                if _code_key(code) > bound_key:
-                    continue
-                seq.append(code)
-                yield from extend(seq, used + size)
-                seq.pop()
+        max_here = left - (c - len(seq) - 1)
+        for code in range(min(seq[0], _FIRST[max_here + 1] - 1), -1, -1):
+            yield from extend(seq + (code,), used + _SIZE[code])
 
-    for first in first_choices:
-        yield from extend([first], _code_key(first)[0])
+    for first in range(last_code(n - c + 1), -1, -1):
+        yield from extend((first,), _SIZE[first])
 
 
-def _is_necklace_canonical(seq: tuple[Code, ...]) -> bool:
-    keys = tuple(_code_key(code) for code in seq)
-    c = len(keys)
-    doubled = keys + keys
-    rev = keys[::-1] + keys[::-1]
+def _is_necklace_canonical(seq: tuple[int, ...]) -> bool:
+    c = len(seq)
+    doubled = seq + seq
+    rev = seq[::-1] * 2
     for s in range(c):
-        if doubled[s : s + c] > keys or rev[s : s + c] > keys:
+        if doubled[s : s + c] > seq or rev[s : s + c] > seq:
             return False
     return True
 

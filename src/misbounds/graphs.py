@@ -316,14 +316,16 @@ def parse_dot(text: str) -> Graph:
 
 
 def _refine(
-    adj: tuple[int, ...], cells: list[list[int]], inert: set[int]
-) -> tuple[list[list[int]], set[int]]:
-    """Refine an ordered partition to an equitable one.
+    adj: tuple[int, ...], cells: list[int], inert: set[int]
+) -> tuple[list[int], set[int]]:
+    """Refine an ordered partition, one vertex mask per cell, to an
+    equitable one.
 
     Repeatedly splits every cell by neighbor counts into the first cell
     that splits anything; subcells inherit position and are ordered by
-    count. The result depends only on the partition structure, not on
-    vertex labels, so isomorphic inputs refine in lockstep.
+    count. A cell holding no neighbor of the splitter has one count and
+    is passed over. The result depends only on the partition structure,
+    not on vertex labels, so isomorphic inputs refine in lockstep.
 
     Once a cell has been the splitter, every cell has one count into it,
     and so does every cell of a finer partition: while it is still a cell
@@ -332,27 +334,28 @@ def _refine(
     """
     inert = set(inert)
     while True:
-        for splitter in cells:
-            smask = 0
-            for v in splitter:
-                smask |= 1 << v
+        for smask in cells:
             if smask in inert:
                 continue
             inert.add(smask)
-            new_cells: list[list[int]] = []
-            did = False
+            single = not smask & (smask - 1)
+            reach = 0
+            for v in _bits(smask):
+                reach |= adj[v]
+            new_cells: list[int] = []
             for cell in cells:
-                if len(cell) == 1:
+                hit = cell & reach
+                if not hit or not cell & (cell - 1) or single and hit == cell:
                     new_cells.append(cell)
-                    continue
-                groups: dict[int, list[int]] = {}
-                for v in cell:
-                    groups.setdefault((adj[v] & smask).bit_count(), []).append(v)
-                if len(groups) > 1:
-                    did = True
-                for key in sorted(groups):
-                    new_cells.append(groups[key])
-            if did:
+                elif single:  # the counts are 0 and 1
+                    new_cells += (cell ^ hit, hit)
+                else:
+                    groups = {0: cell ^ hit} if hit != cell else {}
+                    for v in _bits(hit):
+                        key = (adj[v] & smask).bit_count()
+                        groups[key] = groups.get(key, 0) | 1 << v
+                    new_cells += (groups[key] for key in sorted(groups))
+            if len(new_cells) > len(cells):
                 cells = new_cells
                 break
         else:
@@ -383,21 +386,33 @@ def _pack_graph6(n: int, enc: int) -> bytes:
 
 def _single_path(adj: tuple[int, ...], n: int) -> int:
     """Encoding of the labeling reached by refining, splitting off the
-    first vertex of the first non-singleton cell, and repeating.
+    lowest vertex of the first non-singleton cell, and repeating.
 
     It is the minimum encoding whenever each such cell is one orbit of
     the automorphisms fixing the current partition, which holds on
     forests: there colour refinement finds the orbit partition (Immerman
     and Lander 1990; Arvind, Köbler, Rattan and Verbitsky 2017).
+
+    A twin cell, whose vertices share one neighbour mask (so none is
+    adjacent to another), is split into singletons, lowest first, in one
+    step. In an equitable partition every other cell lies inside that
+    mask or misses it, so splitting off a twin splits nothing else, and
+    the vertex-by-vertex loop would reach the same partition.
     """
-    cells, inert = [list(range(n))], set()
+    cells, inert = [(1 << n) - 1], set()
     while True:
         cells, inert = _refine(adj, cells, inert)
-        k = next((i for i, cell in enumerate(cells) if len(cell) > 1), None)
+        k = next((i for i, cell in enumerate(cells) if cell & (cell - 1)), None)
         if k is None:
-            return _encode(adj, [cell[0] for cell in cells])
-        v, *rest = cells[k]
-        cells = cells[:k] + [[v], rest] + cells[k + 1 :]
+            return _encode(adj, [cell.bit_length() - 1 for cell in cells])
+        cell = cells[k]
+        low = cell & -cell
+        if all(adj[v] == adj[low.bit_length() - 1] for v in _bits(cell)):
+            split = [1 << v for v in _bits(cell)]
+            inert.update(split)
+        else:
+            split = [low, cell ^ low]
+        cells[k : k + 1] = split
 
 
 class _CanonSearch:
@@ -422,7 +437,7 @@ class _CanonSearch:
 
     def run(self) -> int:
         """The minimum encoding."""
-        self._search([list(range(self.n))], [], set())
+        self._search([(1 << self.n) - 1], [], set())
         assert self.best_enc is not None
         return self.best_enc
 
@@ -452,12 +467,12 @@ class _CanonSearch:
                     parent[max(a, b)] = min(a, b)
         return [find(v) for v in range(self.n)]
 
-    def _search(self, cells: list[list[int]], fixed: list[int], inert: set[int]) -> None:
+    def _search(self, cells: list[int], fixed: list[int], inert: set[int]) -> None:
         cells, inert = _refine(self.adj, cells, inert)
         k = 0
-        while k < len(cells) and len(cells[k]) == 1:
+        while k < len(cells) and not cells[k] & (cells[k] - 1):
             k += 1
-        prefix = [cells[i][0] for i in range(k)]
+        prefix = [cells[i].bit_length() - 1 for i in range(k)]
         if k == len(cells):
             enc = _encode(self.adj, prefix)
             if self.best_enc is None or enc < self.best_enc:
@@ -477,18 +492,14 @@ class _CanonSearch:
                 return
         target = cells[k]
         tried: list[int] = []
-        for v in target:
+        for v in _bits(target):
             if tried:
                 # recomputed per candidate: child searches append automorphisms
                 reps = self._orbit_reps(fixed)
                 if any(reps[v] == reps[u] for u in tried):
                     continue
             tried.append(v)
-            child = (
-                cells[:k]
-                + [[v], [w for w in target if w != v]]
-                + cells[k + 1 :]
-            )
+            child = cells[:k] + [1 << v, target & ~(1 << v)] + cells[k + 1 :]
             self._search(child, fixed + [v], inert)
 
 

@@ -40,6 +40,7 @@ from .generate import (
 )
 from .generate import forests, free_trees  # noqa: F401  bench/child.py traces both
 from .graphs import canonical_form
+from .rooted import LEAF
 
 CSV_COLUMNS = (
     "class",
@@ -165,7 +166,10 @@ def _run_tasks(tasks: list[tuple[Callable, tuple]], jobs: int) -> list[tuple]:
     otherwise one process pool of at most `jobs` workers starts them in
     task order, so callers list the longest first. More workers than
     cores or tasks would idle. A task that raises cancels those not yet
-    started and raises here."""
+    started and raises here; jobs below 1 raise ValueError before any
+    task starts."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     workers = min(jobs, os.cpu_count() or 1, len(tasks))
     if workers <= 1:
         return list(map(_timed_call, tasks))
@@ -282,7 +286,7 @@ class CycleBoundReport:
 def verify_cycle_bound(n_max: int) -> CycleBoundReport:
     report = CycleBoundReport(n_max=n_max)
     for n in _orders("cycle", n_max):
-        mis = shape_mis_alpha("unicyclic", ((),) * n)[0]  # the bare cycle C_n
+        mis = shape_mis_alpha("unicyclic", (LEAF,) * n)[0]  # the bare cycle C_n
         report.rows.append(CycleBoundRow(n=n, mis=mis, bound=ell_seq((n + 1) // 2)))
     return report
 

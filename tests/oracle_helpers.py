@@ -4,10 +4,12 @@ Everything here is deliberately naive: subset loops (one vectorized
 with numpy, one in plain Python), the paper's support-vertex recursion,
 the Perrin-type cycle recurrence, a depth-first component split,
 permutation sweeps, the partition refinement as it was before inert
-splitters, Pruefer decoding, levelwise labeled growth with canonical
-dedup, and lemma 2's sampling loop drawn one randrange at a time. None
-of it shares algorithms with the package's counting routes, and the
-package itself does not import this module.
+splitters, the single canonical path before twin cells were split in
+one step, rooted trees as nested tuples, Pruefer decoding, levelwise
+labeled growth with canonical dedup, and lemma 2's sampling loop drawn
+one randrange at a time. None of it shares algorithms with the
+package's counting routes, and the package itself does not import this
+module.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import bisect
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, permutations, product
 from typing import Iterable, Optional
 
@@ -22,6 +25,8 @@ import numpy as np
 
 from misbounds.graphs import (
     Graph,
+    _encode,
+    _refine,
     canonical_form,
     classify,
     make_graph,
@@ -311,6 +316,58 @@ def refine_reference(adj: tuple[int, ...], cells: list[list[int]]) -> list[list[
                 break
         if not changed:
             return cells
+
+
+def single_path_reference(adj: tuple[int, ...], n: int) -> int:
+    """The single-path encoding before twin cells were split in one step:
+    refine, split off the lowest vertex of the first non-singleton cell,
+    and repeat, one vertex at a time."""
+    cells, inert = [(1 << n) - 1], set()
+    while True:
+        cells, inert = _refine(adj, cells, inert)
+        k = next((i for i, cell in enumerate(cells) if cell & (cell - 1)), None)
+        if k is None:
+            return _encode(adj, [cell.bit_length() - 1 for cell in cells])
+        low = cells[k] & -cells[k]
+        cells = cells[:k] + [low, cells[k] ^ low] + cells[k + 1 :]
+
+
+# ---------------------------------------------------------------------------
+# Rooted trees as nested tuples, as the generator held them before its
+# codes became ranked ints: a code is the tuple of its child codes, sorted
+# descending by code_key.
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def code_key(code: tuple) -> tuple:
+    """Total order on nested codes: by size, then recursively."""
+    keys = tuple(code_key(child) for child in code)
+    return (1 + sum(k[0] for k in keys), keys)
+
+
+@lru_cache(maxsize=None)
+def nested_rooted_codes(order: int) -> tuple[tuple, ...]:
+    """All rooted trees on `order` vertices as nested codes, descending by key."""
+    if order == 1:
+        return ((),)
+    out = list(_nested_child_multisets(order - 1, order - 1, None))
+    out.sort(key=code_key, reverse=True)
+    return tuple(out)
+
+
+def _nested_child_multisets(total: int, max_size: int, bound: Optional[tuple]):
+    """Key-descending multisets of nested codes with sizes summing to
+    total, every size at most max_size, the first key at most bound's."""
+    if total == 0:
+        yield ()
+        return
+    for size in range(min(total, max_size), 0, -1):
+        for code in nested_rooted_codes(size):
+            if bound is not None and code_key(code) > code_key(bound):
+                continue
+            for rest in _nested_child_multisets(total - size, max_size, code):
+                yield (code,) + rest
 
 
 # ---------------------------------------------------------------------------

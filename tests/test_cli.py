@@ -275,6 +275,12 @@ class TestUsage:
         assert code == 2 and out == ""
         assert err == "error: order 15 above unicyclic limit 14\n"
 
+    @pytest.mark.parametrize("graph_class", ["tree", "claim1", "cycle"])
+    def test_verify_jobs_below_1_exits_2(self, capsys, graph_class):
+        code, out, err = run(capsys, "verify", "--class", graph_class, "--max-n", "6",
+                             "--jobs", "0")
+        assert (code, out, err) == (2, "", "error: --jobs must be at least 1, got 0\n")
+
     def test_crash_exits_3_not_1(self, capsys, monkeypatch):
         def crash(g):
             raise RuntimeError("boom")

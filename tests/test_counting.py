@@ -22,6 +22,7 @@ from misbounds.generate import (
     unicyclic_shapes,
 )
 from misbounds.graphs import classify, make_graph
+from misbounds.rooted import LEAF
 
 from conftest import graphs, labeled_forests, labeled_trees, trees_with_extra_edges
 from oracle_helpers import (
@@ -628,7 +629,7 @@ class TestShapeRoute:
     def test_bare_cycles_match_recurrence(self):
         # the Perrin-type recurrence shares no code with the state fold
         for n in range(3, 41):
-            assert shape_mis_alpha("unicyclic", ((),) * n) == (mis_count_cycle(n), n // 2), n
+            assert shape_mis_alpha("unicyclic", (LEAF,) * n) == (mis_count_cycle(n), n // 2), n
 
     def test_unknown_class(self):
         with pytest.raises(ValueError):

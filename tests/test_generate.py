@@ -17,14 +17,17 @@ from misbounds.generate import (
     unicyclic_graphs,
 )
 from misbounds.graphs import canonical_form, classify, make_graph, write_graph6
+from misbounds.rooted import _CHILDREN, rooted_tree_codes
 
 from oracle_helpers import (
+    code_key,
     grown_forest_classes,
     grown_tree_classes,
     grown_unicyclic_classes,
     labeled_forest_classes,
     labeled_tree_classes,
     labeled_unicyclic_classes,
+    nested_rooted_codes,
 )
 
 
@@ -39,6 +42,30 @@ TREE_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106,
 UNI_COUNTS = {3: 1, 4: 2, 5: 5, 6: 13, 7: 33, 8: 89, 9: 240, 10: 657, 11: 1806, 12: 5026}
 FOREST_COUNTS = {1: 1, 2: 2, 3: 3, 4: 6, 5: 10, 6: 20, 7: 37, 8: 76, 9: 153, 10: 329,
                  11: 710, 12: 1601}
+
+
+# Rooted trees per order: OEIS A000081.
+ROOTED_COUNTS = [1, 1, 2, 4, 9, 20, 48, 115, 286, 719, 1842, 4766]
+
+
+def _nested(code: int) -> tuple:
+    return tuple(_nested(child) for child in _CHILDREN[code])
+
+
+class TestRootedCodes:
+    """Rooted trees are ranked ints; the nested tuples they replaced, and
+    their key order, are the oracle."""
+
+    def test_counts(self):
+        assert [len(rooted_tree_codes(s)) for s in range(1, 13)] == ROOTED_COUNTS
+
+    def test_expand_to_the_nested_codes_in_order(self):
+        for s in range(1, 13):
+            assert [_nested(c) for c in rooted_tree_codes(s)] == list(nested_rooted_codes(s)), s
+
+    def test_int_order_is_key_order(self):
+        codes = [c for s in range(1, 13) for c in rooted_tree_codes(s)]
+        assert sorted(codes, key=lambda c: code_key(_nested(c))) == sorted(codes)
 
 
 class TestFreeTrees:

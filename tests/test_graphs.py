@@ -32,6 +32,7 @@ from oracle_helpers import (
     find_support_reduction,
     permute,
     refine_reference,
+    single_path_reference,
     split_components,
 )
 
@@ -427,17 +428,24 @@ class TestInertRefinement:
             rng.shuffle(verts)
             cuts = sorted(rng.sample(range(1, n), rng.randint(0, n - 1)))
             cells = [verts[a:b] for a, b in zip([0] + cuts, cuts + [n])]
-            refined, inert = _refine(g.adj, cells, set())
-            assert refined == refine_reference(g.adj, cells)
-            assert {sum(1 << v for v in c) for c in refined} <= inert
+            reference = refine_reference(g.adj, cells)
+            refined, inert = _refine(g.adj, _masks(cells), set())
+            assert refined == _masks(reference)
+            assert set(refined) <= inert
             # individualize as the search does, carrying the inert masks down
-            k = next((i for i, c in enumerate(refined) if len(c) > 1), None)
+            k = next((i for i, c in enumerate(reference) if len(c) > 1), None)
             if k is not None:
-                v = rng.choice(refined[k])
-                child = refined[:k] + [[v], [w for w in refined[k] if w != v]] + refined[k + 1 :]
+                v = rng.choice(reference[k])
+                rest = [w for w in reference[k] if w != v]
+                child = reference[:k] + [[v], rest] + reference[k + 1 :]
                 carried = set(inert)
-                assert _refine(g.adj, child, inert)[0] == refine_reference(g.adj, child)
+                expected = _masks(refine_reference(g.adj, child))
+                assert _refine(g.adj, _masks(child), inert)[0] == expected
                 assert inert == carried  # siblings reuse the parent's set
+
+
+def _masks(cells):
+    return [sum(1 << v for v in cell) for cell in cells]
 
 
 class TestForestSinglePath:
@@ -457,6 +465,23 @@ class TestForestSinglePath:
                 rng.shuffle(perm)
                 for h in (g, permute(g, perm)):
                     assert _single_path(h.adj, n) == _CanonSearch(h).run(), write_graph6(h)
+
+    @pytest.mark.parametrize("stream, top, seed", [(free_trees, 12, 1990), (forests, 10, 2017)])
+    def test_twin_peeling_matches_vertex_by_vertex(self, stream, top, seed):
+        # The forests hold isolated vertices (twins with an empty
+        # neighbourhood, split in one step) and K2 components, whose two
+        # ends are twins only with each end counted in its own
+        # neighbourhood and are split one vertex at a time.
+        import random
+
+        rng = random.Random(seed)
+        for n in range(1, top + 1):
+            for g in stream(n):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                for h in (g, permute(g, perm)):
+                    expected = single_path_reference(h.adj, n)
+                    assert _single_path(h.adj, n) == expected, write_graph6(h)
 
     def test_only_forests_take_the_single_path(self, monkeypatch):
         import misbounds.graphs as graphs_mod

@@ -147,6 +147,13 @@ def test_unicyclic_above_limit_exits_2_with_empty_stdout(tmp_path):
     assert proc.stderr == "error: order 15 above unicyclic limit 14\n"
 
 
+def test_jobs_below_1_exits_2_with_empty_stdout(tmp_path):
+    proc = _run_script(SCRIPT, "--out-dir", str(tmp_path / "certs"), *TINY_SCOPE, "--jobs", "-1")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: jobs must be at least 1, got -1\n"
+    assert not (tmp_path / "certs").exists()
+
+
 def test_census_tiny_order_exits_0(capsys):
     assert _load(CENSUS).main(["--class", "tree", "-n", "6"]) == 0
     assert capsys.readouterr().out == (
