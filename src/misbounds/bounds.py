@@ -172,6 +172,8 @@ def sweep_sequence_lemmas(
     runs are reproducible.
     """
     check_lemma_limit(limit)
+    if samples < 0:
+        raise ValueError("samples must be at least 0")
     g = [g_seq(i) for i in range(limit + 2)]
     h = [h_seq(i) for i in range(limit + 1)]
     ell = [None] * 3 + [ell_seq(i) for i in range(3, limit + 1)]

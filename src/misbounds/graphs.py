@@ -8,9 +8,9 @@ Graph values are immutable; every function here is pure.
 
 A canonical form is the graph6 text of the graph relabeled to its
 minimum upper-triangle encoding, packed straight from that encoding.
-A forest reaches the minimum along one path of refinement and
-individualization; every other graph takes a backtracking search
-with orbit pruning.
+Every graph with at most one cycle reaches the minimum along one path
+of refinement and individualization; graphs with more cycles are
+refused.
 """
 
 from __future__ import annotations
@@ -19,14 +19,6 @@ import re
 from dataclasses import dataclass
 from math import isqrt
 from typing import Iterable, Iterator, Optional
-
-# Largest order canonical_form accepts: the search can be exponential on
-# highly regular graphs, and every class this package scans stays below it.
-ISO_LIMIT = 20
-
-# Cap on stored automorphisms during canonical labeling; only affects
-# pruning strength, never correctness.
-_MAX_STORED_AUTOMORPHISMS = 512
 
 
 @dataclass(frozen=True)
@@ -310,8 +302,8 @@ def parse_dot(text: str) -> Graph:
 
 
 # ---------------------------------------------------------------------------
-# Canonical form: equitable refinement plus backtracking over the
-# remaining cells, with discovered-automorphism orbit pruning.
+# Canonical form: equitable refinement, then one path of
+# individualization, for graphs with at most one cycle.
 # ---------------------------------------------------------------------------
 
 
@@ -389,9 +381,10 @@ def _single_path(adj: tuple[int, ...], n: int) -> int:
     lowest vertex of the first non-singleton cell, and repeating.
 
     It is the minimum encoding whenever each such cell is one orbit of
-    the automorphisms fixing the current partition, which holds on
-    forests: there colour refinement finds the orbit partition (Immerman
-    and Lander 1990; Arvind, Köbler, Rattan and Verbitsky 2017).
+    the automorphisms fixing the current partition. On a graph with at
+    most one cycle colour refinement finds that orbit partition
+    (canonical_form has the argument; for forests see also Arvind,
+    Köbler, Rattan and Verbitsky 2017).
 
     A twin cell, whose vertices share one neighbour mask (so none is
     adjacent to another), is split into singletons, lowest first, in one
@@ -415,109 +408,34 @@ def _single_path(adj: tuple[int, ...], n: int) -> int:
         cells[k : k + 1] = split
 
 
-class _CanonSearch:
-    """Individualization-refinement search for the minimum encoding."""
-
-    def __init__(self, g: Graph):
-        self.adj = g.adj
-        self.n = g.order
-        self.m = g.order * (g.order - 1) // 2
-        self.best_enc: Optional[int] = None
-        self.best_lab: Optional[list[int]] = None
-        self.autos: list[tuple[int, ...]] = []
-        # Twin classes: vertices with identical open (or closed)
-        # neighborhoods are interchangeable by a transposition, which
-        # prunes the leaf-bundle and clique blowups without waiting for
-        # automorphism discovery.
-        groups: dict[tuple[int, int], list[int]] = {}
-        for v in range(self.n):
-            groups.setdefault((0, g.adj[v]), []).append(v)
-            groups.setdefault((1, g.adj[v] | 1 << v), []).append(v)
-        self.twin_groups = [vs for vs in groups.values() if len(vs) > 1]
-
-    def run(self) -> int:
-        """The minimum encoding."""
-        self._search([(1 << self.n) - 1], [], set())
-        assert self.best_enc is not None
-        return self.best_enc
-
-    def _orbit_reps(self, fixed: list[int]) -> list[int]:
-        """Union-find parents under automorphisms fixing `fixed` pointwise."""
-        parent = list(range(self.n))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        fixed_set = set(fixed)
-        for group in self.twin_groups:
-            free = [v for v in group if v not in fixed_set]
-            for u, v in zip(free, free[1:]):
-                a, b = find(u), find(v)
-                if a != b:
-                    parent[max(a, b)] = min(a, b)
-        for sigma in self.autos:
-            if any(sigma[w] != w for w in fixed):
-                continue
-            for v in range(self.n):
-                a, b = find(v), find(sigma[v])
-                if a != b:
-                    parent[max(a, b)] = min(a, b)
-        return [find(v) for v in range(self.n)]
-
-    def _search(self, cells: list[int], fixed: list[int], inert: set[int]) -> None:
-        cells, inert = _refine(self.adj, cells, inert)
-        k = 0
-        while k < len(cells) and not cells[k] & (cells[k] - 1):
-            k += 1
-        prefix = [cells[i].bit_length() - 1 for i in range(k)]
-        if k == len(cells):
-            enc = _encode(self.adj, prefix)
-            if self.best_enc is None or enc < self.best_enc:
-                self.best_enc = enc
-                self.best_lab = prefix
-            elif enc == self.best_enc and prefix != self.best_lab:
-                if len(self.autos) < _MAX_STORED_AUTOMORPHISMS:
-                    sigma = [0] * self.n
-                    assert self.best_lab is not None
-                    for bv, nv in zip(self.best_lab, prefix):
-                        sigma[bv] = nv
-                    self.autos.append(tuple(sigma))
-            return
-        if self.best_enc is not None and k > 1:
-            kbits = k * (k - 1) // 2
-            if _encode(self.adj, prefix) > self.best_enc >> (self.m - kbits):
-                return
-        target = cells[k]
-        tried: list[int] = []
-        for v in _bits(target):
-            if tried:
-                # recomputed per candidate: child searches append automorphisms
-                reps = self._orbit_reps(fixed)
-                if any(reps[v] == reps[u] for u in tried):
-                    continue
-            tried.append(v)
-            child = cells[:k] + [1 << v, target & ~(1 << v)] + cells[k + 1 :]
-            self._search(child, fixed + [v], inert)
-
-
 def canonical_form(g: Graph) -> bytes:
     """Canonical byte string: equal for two graphs iff they are isomorphic.
 
     The bytes are the graph6 encoding of the graph relabeled to its
     minimum encoding, so any canonical form parses back into a
-    representative. A forest takes the single path, any other graph the
-    full search.
+    representative. The graph must have at most one cycle
+    (edge_count <= order - components + 1); ValueError otherwise.
+
+    Every such graph takes the single path, which is exact when each
+    cell it individualizes from is one orbit of the automorphisms that
+    fix the partition so far. Two vertices share a stable colour exactly
+    when their coloured universal covers, rooted at them, are isomorphic
+    (Angluin 1980):
+    - the cover of a connected unicyclic graph is its cycle unrolled
+      into a line with period c, with finite trees hanging off it, and
+      the line is its only bi-infinite path;
+    - so a rooted isomorphism of covers maps the line to itself by a
+      shift or a reflection that keeps the colours; reduced mod c that
+      is a rotation or reflection of the cycle with its trees, an
+      automorphism of the graph taking one root to the other;
+    - a tree component has a finite cover and the cycle's component an
+      infinite one, so their vertices never share a colour; trees among
+      themselves are the forest case (Immerman and Lander 1990).
+    Two cycles break the argument: C_3 + C_6 refines to one colour class
+    that holds two orbits.
     """
     n = g.order
-    if n > ISO_LIMIT:
-        raise ValueError(f"order {n} exceeds isomorphism limit {ISO_LIMIT}")
-    if n <= 1:
-        enc = 0
-    elif g.edge_count == n - sum(1 for _ in _component_masks(g)):
-        enc = _single_path(g.adj, n)
-    else:
-        enc = _CanonSearch(g).run()
-    return _pack_graph6(n, enc)
+    rank = g.edge_count - n + sum(1 for _ in _component_masks(g))
+    if rank > 1:
+        raise ValueError(f"canonical_form needs at most one cycle, got cycle rank {rank}")
+    return _pack_graph6(n, _single_path(g.adj, n))

@@ -5,7 +5,9 @@ with numpy, one in plain Python), the paper's support-vertex recursion,
 the Perrin-type cycle recurrence, a depth-first component split,
 permutation sweeps, the partition refinement as it was before inert
 splitters, the single canonical path before twin cells were split in
-one step, rooted trees as nested tuples, Pruefer decoding, levelwise
+one step, the backtracking canonical search (`_CanonSearch`, with twin
+classes and automorphism pruning) that the single path replaced in
+the package and that still takes any graph, rooted trees as nested tuples, Pruefer decoding, levelwise
 labeled growth with canonical dedup, and lemma 2's sampling loop drawn
 one randrange at a time. None of it shares algorithms with the
 package's counting routes, and the package itself does not import this
@@ -25,7 +27,9 @@ import numpy as np
 
 from misbounds.graphs import (
     Graph,
+    _bits,
     _encode,
+    _pack_graph6,
     _refine,
     canonical_form,
     classify,
@@ -35,6 +39,10 @@ from misbounds.graphs import (
 
 BRUTEFORCE_LIMIT = 25
 _BRUTE_CHUNK = 1 << 20
+
+# Cap on stored automorphisms during canonical labeling; only affects
+# pruning strength, never correctness.
+_MAX_STORED_AUTOMORPHISMS = 512
 
 
 def lemma2_tuples_reference(samples: int, seed: int, value_range: int = 10_000) -> list[tuple]:
@@ -330,6 +338,106 @@ def single_path_reference(adj: tuple[int, ...], n: int) -> int:
             return _encode(adj, [cell.bit_length() - 1 for cell in cells])
         low = cells[k] & -cells[k]
         cells = cells[:k] + [low, cells[k] ^ low] + cells[k + 1 :]
+
+
+# ---------------------------------------------------------------------------
+# The package's canonical labeling before every graph it accepts took the
+# single path: a backtracking search over every individualization, pruned
+# by twin classes and discovered automorphisms. It accepts any graph.
+# ---------------------------------------------------------------------------
+
+
+class _CanonSearch:
+    """Individualization-refinement search for the minimum encoding."""
+
+    def __init__(self, g: Graph):
+        self.adj = g.adj
+        self.n = g.order
+        self.m = g.order * (g.order - 1) // 2
+        self.best_enc: Optional[int] = None
+        self.best_lab: Optional[list[int]] = None
+        self.autos: list[tuple[int, ...]] = []
+        # Twin classes: vertices with identical open (or closed)
+        # neighborhoods are interchangeable by a transposition, which
+        # prunes the leaf-bundle and clique blowups without waiting for
+        # automorphism discovery.
+        groups: dict[tuple[int, int], list[int]] = {}
+        for v in range(self.n):
+            groups.setdefault((0, g.adj[v]), []).append(v)
+            groups.setdefault((1, g.adj[v] | 1 << v), []).append(v)
+        self.twin_groups = [vs for vs in groups.values() if len(vs) > 1]
+
+    def run(self) -> int:
+        """The minimum encoding."""
+        self._search([(1 << self.n) - 1], [], set())
+        assert self.best_enc is not None
+        return self.best_enc
+
+    def _orbit_reps(self, fixed: list[int]) -> list[int]:
+        """Union-find parents under automorphisms fixing `fixed` pointwise."""
+        parent = list(range(self.n))
+
+        def find(x: int) -> int:
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        fixed_set = set(fixed)
+        for group in self.twin_groups:
+            free = [v for v in group if v not in fixed_set]
+            for u, v in zip(free, free[1:]):
+                a, b = find(u), find(v)
+                if a != b:
+                    parent[max(a, b)] = min(a, b)
+        for sigma in self.autos:
+            if any(sigma[w] != w for w in fixed):
+                continue
+            for v in range(self.n):
+                a, b = find(v), find(sigma[v])
+                if a != b:
+                    parent[max(a, b)] = min(a, b)
+        return [find(v) for v in range(self.n)]
+
+    def _search(self, cells: list[int], fixed: list[int], inert: set[int]) -> None:
+        cells, inert = _refine(self.adj, cells, inert)
+        k = 0
+        while k < len(cells) and not cells[k] & (cells[k] - 1):
+            k += 1
+        prefix = [cells[i].bit_length() - 1 for i in range(k)]
+        if k == len(cells):
+            enc = _encode(self.adj, prefix)
+            if self.best_enc is None or enc < self.best_enc:
+                self.best_enc = enc
+                self.best_lab = prefix
+            elif enc == self.best_enc and prefix != self.best_lab:
+                if len(self.autos) < _MAX_STORED_AUTOMORPHISMS:
+                    sigma = [0] * self.n
+                    assert self.best_lab is not None
+                    for bv, nv in zip(self.best_lab, prefix):
+                        sigma[bv] = nv
+                    self.autos.append(tuple(sigma))
+            return
+        if self.best_enc is not None and k > 1:
+            kbits = k * (k - 1) // 2
+            if _encode(self.adj, prefix) > self.best_enc >> (self.m - kbits):
+                return
+        target = cells[k]
+        tried: list[int] = []
+        for v in _bits(target):
+            if tried:
+                # recomputed per candidate: child searches append automorphisms
+                reps = self._orbit_reps(fixed)
+                if any(reps[v] == reps[u] for u in tried):
+                    continue
+            tried.append(v)
+            child = cells[:k] + [1 << v, target & ~(1 << v)] + cells[k + 1 :]
+            self._search(child, fixed + [v], inert)
+
+
+def search_canonical_form(g: Graph) -> bytes:
+    """canonical_form's bytes, reached by the full search."""
+    return _pack_graph6(g.order, _CanonSearch(g).run())
 
 
 # ---------------------------------------------------------------------------

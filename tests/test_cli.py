@@ -281,6 +281,10 @@ class TestUsage:
                              "--jobs", "0")
         assert (code, out, err) == (2, "", "error: --jobs must be at least 1, got 0\n")
 
+    def test_lemmas_negative_samples_exits_2(self, capsys):
+        code, out, err = run(capsys, "lemmas", "--limit", "5", "--samples", "-3")
+        assert (code, out, err) == (2, "", "error: samples must be at least 0\n")
+
     def test_crash_exits_3_not_1(self, capsys, monkeypatch):
         def crash(g):
             raise RuntimeError("boom")

@@ -6,11 +6,10 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from misbounds.generate import forests, free_trees
+from misbounds.extremal import build_H, build_T
+from misbounds.generate import forests, free_trees, unicyclic_graphs
 from misbounds.graphs import (
-    ISO_LIMIT,
     Graph,
-    _CanonSearch,
     _component_masks,
     _encode,
     _pack_graph6,
@@ -25,13 +24,15 @@ from misbounds.graphs import (
     write_graph6,
 )
 
-from conftest import graphs
+from conftest import graphs, labeled_forests, trees_with_extra_edges
 from oracle_helpers import (
+    _CanonSearch,
     brute_canonical,
     delete_vertices,
     find_support_reduction,
     permute,
     refine_reference,
+    search_canonical_form,
     single_path_reference,
     split_components,
 )
@@ -336,51 +337,85 @@ class TestCanonicalForm:
         }
         assert len(forms) == 1
 
-    def test_order_limit_enforced(self):
-        with pytest.raises(ValueError):
-            canonical_form(path(21))
+    def test_refuses_two_cycles(self):
+        k4 = make_graph(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
+        c3_c6 = make_graph(9, cycle(3).edges() + [(3 + u, 3 + v) for u, v in cycle(6).edges()])
+        k4_minus_edge = make_graph(4, k4.edges()[1:])
+        for g in (c3_c6, k4, k4_minus_edge):
+            with pytest.raises(ValueError, match="at most one cycle"):
+                canonical_form(g)
 
     def test_matches_brute_minimum_on_small_graphs(self):
         samples = [
             make_graph(4, [(0, 1), (1, 2), (2, 3)]),
             make_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]),
             make_graph(5, [(0, 4), (1, 4), (2, 4), (3, 4)]),
-            make_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]),
             make_graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)]),
         ]
         for g in samples:
             # the form is the minimum graph6 text over all relabelings
             assert canonical_form(g).decode() == brute_canonical(g)
+        two_triangles = make_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+        assert search_canonical_form(two_triangles).decode() == brute_canonical(two_triangles)
 
     def test_partitions_all_small_graphs_exactly_like_brute_force(self):
-        # every labeled graph on up to 5 vertices: the canonical form
-        # must induce exactly the same equivalence classes as the
-        # minimum over all n! relabelings
+        # every labeled graph on up to 5 vertices: each route must
+        # induce exactly the same equivalence classes as the minimum
+        # over all n! relabelings; canonical_form on the graphs with at
+        # most one cycle, the full search on every graph
         from itertools import combinations
 
         for n in range(6):
             pairs = list(combinations(range(n), 2))
-            by_brute = {}
+            by_route = {"path": {}, "search": {}}
             for mask in range(1 << len(pairs)):
                 es = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
                 g = make_graph(n, es)
-                by_brute.setdefault(brute_canonical(g), set()).add(canonical_form(g))
-            forms = [next(iter(v)) for v in by_brute.values()]
-            assert all(len(v) == 1 for v in by_brute.values())
-            assert len(set(forms)) == len(forms)
+                brute = brute_canonical(g)
+                by_route["search"].setdefault(brute, set()).add(search_canonical_form(g))
+                if len(es) <= n - sum(1 for _ in _component_masks(g)) + 1:
+                    by_route["path"].setdefault(brute, set()).add(canonical_form(g))
+            for by_brute in by_route.values():
+                forms = [next(iter(v)) for v in by_brute.values()]
+                assert all(len(v) == 1 for v in by_brute.values())
+                assert len(set(forms)) == len(forms)
 
-    @given(graphs(max_n=8), st.data())
+    # canonical_form on graphs with at most one cycle, the full search
+    # on any graph
+    ONE_CYCLE = st.one_of(trees_with_extra_edges(max_extra=1), labeled_forests())
+
+    @given(ONE_CYCLE, graphs(max_n=8), st.data())
     @settings(max_examples=150)
-    def test_permutation_invariance(self, g, data):
-        perm = data.draw(st.permutations(list(range(g.order))))
-        assert canonical_form(g) == canonical_form(permute(g, perm))
+    def test_permutation_invariance(self, g, any_g, data):
+        for form_of, h in ((canonical_form, g), (search_canonical_form, any_g)):
+            perm = data.draw(st.permutations(list(range(h.order))))
+            assert form_of(h) == form_of(permute(h, perm))
 
-    @given(graphs(max_n=8))
-    def test_form_parses_to_an_isomorphic_relabeling(self, g):
-        form = canonical_form(g)
-        h = parse_graph6(form.decode())
-        assert h.order == g.order and h.edge_count == g.edge_count
-        assert canonical_form(h) == form
+    @given(ONE_CYCLE, graphs(max_n=8))
+    def test_form_parses_to_an_isomorphic_relabeling(self, g, any_g):
+        for form_of, h in ((canonical_form, g), (search_canonical_form, any_g)):
+            form = form_of(h)
+            back = parse_graph6(form.decode())
+            assert back.order == h.order and back.edge_count == h.edge_count
+            assert form_of(back) == form
+
+    def test_extremal_families_up_to_order_40(self):
+        # every T cell with n <= 40 and every H cell with 6 <= n <= 40:
+        # the form survives a shuffled labeling and parses back to a
+        # graph with the same form
+        import random
+
+        cells = [(build_T, n, a) for n in range(2, 41) for a in range(-(-n // 2), n)]
+        cells += [(build_H, n, a) for n in range(6, 41) for a in range(-(-n // 2), n - 2)]
+        assert len(cells) == 400 + 324
+        rng = random.Random(1980)
+        for build, n, alpha in cells:
+            g = build(n, alpha)
+            perm = list(range(n))
+            rng.shuffle(perm)
+            form = canonical_form(g)
+            assert canonical_form(permute(g, perm)) == form, (build.__name__, n, alpha)
+            assert canonical_form(parse_graph6(form.decode())) == form
 
 
 class TestGraph6Packing:
@@ -394,7 +429,7 @@ class TestGraph6Packing:
 
         rng = random.Random(6)
         paddings = set()
-        for n in range(2, ISO_LIMIT + 1):
+        for n in range(2, 21):
             paddings.add(n * (n - 1) // 2 % 6)
             pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
             for p in (0.1, 0.3, 0.5, 0.7, 0.9, 1.0):
@@ -448,13 +483,43 @@ def _masks(cells):
     return [sum(1 << v for v in cell) for cell in cells]
 
 
-class TestForestSinglePath:
-    """On a forest _single_path follows one vertex per level. It must reach
-    the full search's minimum encoding on every generated tree and forest,
-    as generated and under a shuffled labeling: the generator's labels are
-    structured, and shuffled ones exercise the orbit argument."""
+def unicyclic(n):
+    """unicyclic_graphs, empty below order 3."""
+    return unicyclic_graphs(n) if n >= 3 else iter(())
 
-    @pytest.mark.parametrize("stream, top, seed", [(free_trees, 14, 1990), (forests, 12, 2017)])
+
+def cycle_plus_forest(n, count=56):
+    """count seeded graphs of order n >= 4, each a unicyclic graph (a
+    cycle with a tree grown on it) beside a forest of at least one vertex."""
+    import random
+
+    rng = random.Random(n)
+    for _ in range(count if n >= 4 else 0):
+        size = rng.randint(3, n - 1)
+        c = rng.randint(3, size)
+        edges = [(i, (i + 1) % c) for i in range(c)]
+        edges += [(rng.randrange(v), v) for v in range(c, size)]
+        edges += [(rng.randrange(size, v), v) for v in range(size + 1, n) if rng.random() < 0.7]
+        yield make_graph(n, edges)
+
+
+class TestSinglePath:
+    """_single_path follows one vertex per level. It must reach the full
+    search's minimum encoding on every generated tree, forest and
+    unicyclic graph, and on seeded graphs of one unicyclic graph beside
+    a forest, as generated and under a shuffled labeling: the
+    generator's labels are structured, and shuffled ones exercise the
+    orbit argument."""
+
+    @pytest.mark.parametrize(
+        "stream, top, seed",
+        [
+            (free_trees, 14, 1990),
+            (forests, 12, 2017),
+            (unicyclic, 12, 1980),
+            (cycle_plus_forest, 12, 1990),
+        ],
+    )
     def test_matches_full_search(self, stream, top, seed):
         import random
 
@@ -463,8 +528,14 @@ class TestForestSinglePath:
             for g in stream(n):
                 perm = list(range(n))
                 rng.shuffle(perm)
+                minimum = _CanonSearch(g).run()  # the same for every labeling
                 for h in (g, permute(g, perm)):
-                    assert _single_path(h.adj, n) == _CanonSearch(h).run(), write_graph6(h)
+                    assert _single_path(h.adj, n) == minimum, write_graph6(h)
+
+
+class TestForestSinglePath:
+    """Twin peeling, checked on trees and forests, whose leaf bundles and
+    isolated vertices make the most twin cells."""
 
     @pytest.mark.parametrize("stream, top, seed", [(free_trees, 12, 1990), (forests, 10, 2017)])
     def test_twin_peeling_matches_vertex_by_vertex(self, stream, top, seed):
@@ -482,17 +553,3 @@ class TestForestSinglePath:
                 for h in (g, permute(g, perm)):
                     expected = single_path_reference(h.adj, n)
                     assert _single_path(h.adj, n) == expected, write_graph6(h)
-
-    def test_only_forests_take_the_single_path(self, monkeypatch):
-        import misbounds.graphs as graphs_mod
-
-        routes = []
-        walk, search = graphs_mod._single_path, graphs_mod._CanonSearch
-        monkeypatch.setattr(
-            graphs_mod, "_single_path", lambda adj, n: routes.append("path") or walk(adj, n)
-        )
-        monkeypatch.setattr(graphs_mod, "_CanonSearch", lambda g: routes.append("search") or search(g))
-        triangle_and_edge = make_graph(5, [(0, 1), (1, 2), (0, 2), (3, 4)])
-        for g in (path(6), star(5), make_graph(5, [(0, 1), (2, 3)]), cycle(6), triangle_and_edge):
-            canonical_form(g)
-        assert routes == ["path", "path", "path", "search", "search"]
