@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import asdict, dataclass, field
-from functools import partial
-from itertools import islice
+from itertools import islice, repeat
 from typing import Iterator
 
 BigCount = int
@@ -210,22 +209,29 @@ def _lemma2_tuples(samples: int, seed: int) -> Iterator[tuple[int, ...]]:
     takes M.bit_length() random bits and draws again while they are at
     least M."""
     M = _LEMMA2_VALUE_RANGE
-    draws = filter(M.__gt__, iter(partial(random.Random(seed).getrandbits, M.bit_length()), -1))
+    draws = filter(M.__gt__, map(random.Random(seed).getrandbits, repeat(M.bit_length())))
     for d, c, a, b, h, g, e, f in islice(zip(*[draws] * 8), samples):
+        # Once c has d added and a has c added, a + b >= c + d reads
+        # b >= d - a with a's own draw.
+        if d > a:
+            b += d - a
         c += d
         a += c
-        b += max(0, c + d - a)
+        if h > e:
+            f += h - e
         g += h
         e += g
-        f += max(0, g + h - e)
         yield a, b, c, d, e, f, g, h
 
 
 def _sweep_lemma2(samples: int, seed: int) -> LemmaSweep:
+    """Check that (ae, bf) majorizes (cg, dh) on each tuple, with the
+    two comparisons of `majorizes` written out."""
     sweep = LemmaSweep(lemma="lemma2_majorization", tuples_checked=0)
     for a, b, c, d, e, f, g, h in _lemma2_tuples(samples, seed):
         sweep.tuples_checked += 1
-        if not majorizes((a * e, b * f), (c * g, d * h)):
+        ae, cg = a * e, c * g
+        if ae < cg or ae + b * f < cg + d * h:
             sweep.violations.append(
                 {"a": a, "b": b, "c": c, "d": d, "e": e, "f": f, "g": g, "h": h}
             )

@@ -17,7 +17,6 @@ import io
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, astuple, dataclass, field
 from typing import Callable, Iterable, NamedTuple
 
@@ -29,16 +28,11 @@ from .bounds import (
     ell_seq,
     sweep_sequence_lemmas,
 )
-from .counting import independence_number, shape_mis_alpha
-from .counting import mis_count  # noqa: F401  bench/child.py traces verify.mis_count
-from .generate import (
-    GenerationTask,
-    check_order_limit,
-    shape_graph,
-    shape_stream,
-    unicyclic_graphs,
-)
+from .counting import shape_mis_alpha
+from .counting import independence_number, mis_count  # noqa: F401  bench/child.py traces both
+from .generate import GenerationTask, check_order_limit, shape_graph, shape_stream
 from .generate import forests, free_trees  # noqa: F401  bench/child.py traces both
+from .generate import unicyclic_graphs  # noqa: F401  bench/child.py traces it
 from .graphs import canonical_form
 from .rooted import LEAF
 
@@ -173,6 +167,9 @@ def _run_tasks(tasks: list[tuple[Callable, tuple]], jobs: int) -> list[tuple]:
     workers = min(jobs, os.cpu_count() or 1, len(tasks))
     if workers <= 1:
         return list(map(_timed_call, tasks))
+    # Imported here so that importing the package loads no pool machinery.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_timed_call, tasks))
 
@@ -227,15 +224,16 @@ def verify_claim1(n_max: int) -> Claim1Report:
 
 def _claim1_order(n: int) -> tuple[int, list[str]]:
     """(graphs checked, graph6 of each violation) over the even-cycle
-    unicyclic graphs of order n."""
+    unicyclic graphs of order n. Each alpha is folded from the graph's
+    shape; a graph is built only for a violation."""
     need = -(-n // 2)
     checked = 0
     violations = []
     for c in range(4, n + 1, 2):
-        for g in unicyclic_graphs(n, cycle=c):
+        for s in shape_stream(GenerationTask("unicyclic", n, cycle_length=c)):
             checked += 1
-            if independence_number(g) < need:
-                violations.append(canonical_form(g).decode("ascii"))
+            if shape_mis_alpha("unicyclic", s)[1] < need:
+                violations.append(canonical_form(shape_graph("unicyclic", s)).decode("ascii"))
     return checked, violations
 
 
@@ -361,9 +359,10 @@ class Certification(NamedTuple):
 # Relative cost of a task, so the pool can start the longest first
 # (Graham 1969). An order of a scan or of claim 1 costs about three times
 # the order below it; a tree of order n about as much as a unicyclic
-# graph of order n - 3, a forest of order n - 1. The lemma sweep outlasts
-# every other task and the cycle bound takes milliseconds.
-_ORDER_SHIFT = {"tree": -3, "forest": -1, "unicyclic": 0, "claim1": 0}
+# graph of order n - 3, a forest or claim 1 of order n as much as a
+# unicyclic graph of order n - 1. The lemma sweep outlasts every other
+# task and the cycle bound takes milliseconds.
+_ORDER_SHIFT = {"tree": -3, "forest": -1, "unicyclic": 0, "claim1": -1}
 
 
 def _task_cost(key: tuple[str, int]) -> float:

@@ -50,7 +50,7 @@ def test_traced_certify(tmp_path):
     proc = _child("certify", str(tmp_path / "out"), "1", "--scope", json.dumps(TINY_SCOPE),
                   "--extras", "--trace", str(spans))
     assert proc.returncode == 0, proc.stderr
-    assert {"counting.alpha", "graphs.canonical_form", "generate.next"} <= _span_names(spans)
+    assert {"graphs.canonical_form", "verify.scan", "verify.claim1"} <= _span_names(spans)
 
 
 def test_traced_count(tmp_path):

@@ -9,6 +9,7 @@ from misbounds.bounds import (
     LEMMA2_SEED,
     BoundQuery,
     _lemma2_tuples,
+    _sweep_lemma2,
     ell_seq,
     fib,
     g_seq,
@@ -212,6 +213,24 @@ class TestLemmaSweeps:
     def test_lemma2_default_tuples_match_randrange(self):
         got = list(_lemma2_tuples(LEMMA2_SAMPLES, LEMMA2_SEED))
         assert got == lemma2_tuples_reference(LEMMA2_SAMPLES, LEMMA2_SEED)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            (1, 0, 2, 0, 1, 0, 1, 0),  # ae < cg
+            (1, 0, 1, 1, 1, 0, 1, 1),  # ae = cg, ae + bf < cg + dh
+        ],
+    )
+    def test_lemma2_reports_a_violating_tuple(self, monkeypatch, bad):
+        """The sweep inlines `majorizes`; either failed comparison is one
+        violation, and every tuple read is counted."""
+        a, b, c, d, e, f, g, h = bad
+        assert not majorizes((a * e, b * f), (c * g, d * h))
+        good = (1, 1, 1, 1, 1, 1, 1, 1)
+        monkeypatch.setattr("misbounds.bounds._lemma2_tuples", lambda *args: iter([bad, good]))
+        sweep = _sweep_lemma2(2, 0)
+        assert sweep.tuples_checked == 2
+        assert sweep.violations == [dict(zip("abcdefgh", bad))]
 
     @pytest.mark.parametrize("limit", [5, 6, 7, 13, 40])
     def test_pair_lemmas_from_tables(self, limit):

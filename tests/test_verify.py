@@ -1,13 +1,24 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from misbounds.bounds import BoundQuery, ell_seq, g_seq, tree_bound, unicyclic_bound
-from misbounds.counting import independence_number, mis_count
+from misbounds.counting import independence_number, mis_count, shape_mis_alpha
 from misbounds.extremal import build_H, build_L, build_star, build_T, build_triangle_star
-from misbounds.generate import FOREST_LIMIT, TREE_LIMIT, UNICYCLIC_LIMIT
+from misbounds.generate import (
+    FOREST_LIMIT,
+    TREE_LIMIT,
+    UNICYCLIC_LIMIT,
+    unicyclic_graph,
+    unicyclic_graphs,
+    unicyclic_shapes,
+)
 from misbounds.graphs import canonical_form, classify, parse_graph6
 from misbounds.verify import (
     CSV_COLUMNS,
@@ -21,6 +32,8 @@ from misbounds.verify import (
     verify_tree_theorem,
     verify_unicyclic_theorem,
 )
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 class TestTreeTheorem:
@@ -236,7 +249,7 @@ class TestWorkerBound:
                 return map(fn, tasks)
 
         monkeypatch.setattr(verify.os, "cpu_count", lambda: cores)
-        monkeypatch.setattr(verify, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
         assert verify_tree_theorem(7, jobs=4096).records == want
         assert seen["workers"] == workers
         if cores is None:
@@ -244,6 +257,16 @@ class TestWorkerBound:
         else:
             assert workers == min(4096, cores, len(range(2, 8)))
             assert seen["orders"] == [7, 6, 5, 4, 3, 2]
+
+    def test_import_loads_no_pool_machinery(self):
+        """The pool module is imported only where a pool starts, so a CLI
+        call or a one-worker run never loads it."""
+        pool = ("concurrent.futures", "multiprocessing")
+        code = f"import sys, misbounds; print([m for m in {pool} if m in sys.modules])"
+        path = [SRC] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert (out.returncode, out.stdout) == (0, "[]\n"), out.stderr
 
 
 class TestBuildsOnlyMinimizers:
@@ -329,6 +352,37 @@ class TestClaim1:
         evens = [g for g in unicyclic_graphs(5) if cls_fn(g).cycle_parity == "even"]
         assert len(evens) == 1
         assert independence_number(evens[0]) == 3
+
+    def test_shapes_match_graphs_to_order_12(self):
+        """Claim 1 reads alpha from shapes, so the generator's cycle filter
+        and the graph alpha route are checked against each other here: over
+        every even cycle, the shape count equals the number of even-cycle
+        graphs by classify, and each shape's alpha equals its graph's."""
+        total = 0
+        for n in range(3, 13):
+            shapes = [s for c in range(4, n + 1, 2) for s in unicyclic_shapes(n, cycle=c)]
+            for s in shapes:
+                alpha = independence_number(unicyclic_graph(s))
+                assert shape_mis_alpha("unicyclic", s)[1] == alpha
+            evens = sum(classify(g).cycle_parity == "even" for g in unicyclic_graphs(n))
+            assert len(shapes) == evens
+            total += evens
+        assert total == verify_claim1(12).graphs_checked == 3077
+
+    def test_violations_are_canonical_forms_in_stream_order(self, monkeypatch):
+        import misbounds.verify as verify
+
+        real = verify.shape_mis_alpha
+        order6 = [s for c in (4, 6) for s in unicyclic_shapes(6, cycle=c)]
+
+        def fake(graph_class, shape):
+            m, alpha = real(graph_class, shape)
+            return m, 0 if shape in order6 else alpha
+
+        monkeypatch.setattr(verify, "shape_mis_alpha", fake)
+        rep = verify_claim1(6)
+        assert rep.violations == [canonical_form(unicyclic_graph(s)).decode() for s in order6]
+        assert rep.graphs_checked == verify_claim1(5).graphs_checked + len(order6)
 
     def test_serializes(self):
         rep = verify_claim1(6)
