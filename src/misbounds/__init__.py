@@ -8,7 +8,6 @@ from .bounds import (
     fib,
     g_seq,
     h_seq,
-    majorizes,
     sweep_sequence_lemmas,
     tree_bound,
     unicyclic_bound,

@@ -10,9 +10,8 @@ floating point is used anywhere.
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass, field
 from itertools import islice, repeat
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 BigCount = int
 
@@ -56,8 +55,7 @@ def ell_seq(n: int) -> BigCount:
     return fib(n + 2) - fib(n - 3)
 
 
-@dataclass(frozen=True)
-class BoundQuery:
+class BoundQuery(NamedTuple):
     """A (class, order, independence number) triple naming one bound cell."""
 
     graph_class: str  # tree | forest | unicyclic
@@ -125,31 +123,26 @@ def bound(q: BoundQuery) -> BigCount:
     return unicyclic_bound(q) if q.graph_class == "unicyclic" else tree_bound(q)
 
 
-def majorizes(a: tuple[BigCount, BigCount], b: tuple[BigCount, BigCount]) -> bool:
-    """(a1,a2) majorizes (b1,b2) iff a1 >= b1 and a1+a2 >= b1+b2."""
-    return a[0] >= b[0] and a[0] + a[1] >= b[0] + b[1]
-
-
-@dataclass
-class LemmaSweep:
+class LemmaSweep(NamedTuple):
     """Result of exhaustively (or sampled) checking one sequence lemma."""
 
     lemma: str
     tuples_checked: int
-    violations: list[dict] = field(default_factory=list)
+    violations: list[dict]
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def _sweep_pairs(name, lo1, lo2, limit, check) -> LemmaSweep:
-    sweep = LemmaSweep(lemma=name, tuples_checked=0)
+    checked = 0
+    violations = []
     for n1 in range(lo1, limit + 1):
         for n2 in range(lo2, limit - n1 + 1):
-            sweep.tuples_checked += 1
+            checked += 1
             if not check(n1, n2):
-                sweep.violations.append({"n1": n1, "n2": n2})
-    return sweep
+                violations.append({"n1": n1, "n2": n2})
+    return LemmaSweep(name, checked, violations)
 
 
 def check_lemma_limit(limit: int) -> None:
@@ -225,14 +218,13 @@ def _lemma2_tuples(samples: int, seed: int) -> Iterator[tuple[int, ...]]:
 
 
 def _sweep_lemma2(samples: int, seed: int) -> LemmaSweep:
-    """Check that (ae, bf) majorizes (cg, dh) on each tuple, with the
-    two comparisons of `majorizes` written out."""
-    sweep = LemmaSweep(lemma="lemma2_majorization", tuples_checked=0)
+    """Check that (ae, bf) majorizes (cg, dh) on each tuple: ae >= cg
+    and ae + bf >= cg + dh."""
+    checked = 0
+    violations = []
     for a, b, c, d, e, f, g, h in _lemma2_tuples(samples, seed):
-        sweep.tuples_checked += 1
+        checked += 1
         ae, cg = a * e, c * g
         if ae < cg or ae + b * f < cg + d * h:
-            sweep.violations.append(
-                {"a": a, "b": b, "c": c, "d": d, "e": e, "f": f, "g": g, "h": h}
-            )
-    return sweep
+            violations.append({"a": a, "b": b, "c": c, "d": d, "e": e, "f": f, "g": g, "h": h})
+    return LemmaSweep("lemma2_majorization", checked, violations)

@@ -15,16 +15,15 @@ bundle) so graph6 output is reproducible byte for byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .bounds import ell_seq, g_seq, h_seq
 from .counting import mis_count
 from .graphs import Graph, make_graph
 
-@dataclass(frozen=True)
-class ExtremalSpec:
-    """Which family to build; alpha only matters for T and H."""
+
+class ExtremalSpec(NamedTuple):
+    """Which family to build; alpha is given for T and H and only for them."""
 
     family: str
     n: int
@@ -113,9 +112,13 @@ def build_cycle(n: int) -> Graph:
 
 
 def build_family(spec: ExtremalSpec) -> Graph:
+    """The family member spec names. T and H need an alpha; the other
+    families fix alpha by n, so an alpha given for them is refused."""
     fam = spec.family
     if fam in ("T", "H") and spec.alpha is None:
         raise ValueError(f"family {fam} needs an independence number")
+    if fam in ("L", "star", "cycle", "triangle_star") and spec.alpha is not None:
+        raise ValueError(f"family {fam} fixes alpha by n; give no independence number")
     if fam == "T":
         return build_T(spec.n, spec.alpha)
     if fam == "H":

@@ -24,10 +24,9 @@ the same graphs in the same sequence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .counting import shape_mis_alpha
 from .graphs import Graph, make_graph
@@ -210,8 +209,7 @@ def _partitions_desc(n: int, max_part: Optional[int] = None) -> Iterator[tuple[i
             yield (part,) + rest
 
 
-@dataclass(frozen=True)
-class GenerationTask:
+class GenerationTask(NamedTuple):
     """A stream request: class, order, optional cycle-length / alpha filters."""
 
     graph_class: str  # tree | forest | unicyclic
@@ -222,14 +220,17 @@ class GenerationTask:
 
 def shape_stream(task: GenerationTask, unsafe: bool = False) -> Iterator[Shape]:
     """The task's shapes; a bad filter or class is refused before any is made."""
-    if task.cycle_length is not None and task.graph_class != "unicyclic":
+    c = task.cycle_length
+    if c is not None and task.graph_class != "unicyclic":
         raise ValueError("cycle-length filter only applies to unicyclic graphs")
+    if c is not None and not 3 <= c <= task.order:
+        raise ValueError(f"cycle length {c} outside 3..{task.order}")
     if task.graph_class == "tree":
         stream: Iterator[Shape] = tree_shapes(task.order, unsafe)
     elif task.graph_class == "forest":
         stream = forest_shapes(task.order, unsafe)
     elif task.graph_class == "unicyclic":
-        stream = unicyclic_shapes(task.order, unsafe, task.cycle_length)
+        stream = unicyclic_shapes(task.order, unsafe, c)
     else:
         raise ValueError(f"unknown graph class {task.graph_class!r}")
     if task.alpha is not None:

@@ -16,13 +16,11 @@ refused.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from math import isqrt
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(NamedTuple):
     """Immutable simple undirected graph on vertices 0..order-1.
 
     ``adj[v]`` is the neighbor set of v encoded as a bitmask. Order 0 is
@@ -58,8 +56,7 @@ class Graph:
         return f"Graph(order={self.order}, edges={self.edges()})"
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     """Structural class of a graph.
 
     kind is one of tree / forest / unicyclic / other. ``cycle`` lists the

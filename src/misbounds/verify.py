@@ -17,7 +17,6 @@ import io
 import json
 import os
 import time
-from dataclasses import asdict, astuple, dataclass, field
 from typing import Callable, Iterable, NamedTuple
 
 from .bounds import (
@@ -55,8 +54,7 @@ STATUS_VIOLATED = "violated"
 _MIN_ORDER = {"tree": 2, "unicyclic": 3, "forest": 1, "claim1": 4, "cycle": 5}
 
 
-@dataclass(frozen=True)
-class VerificationRecord:
+class VerificationRecord(NamedTuple):
     """Certificate for one (class, n, alpha) cell."""
 
     # Fields in CSV_COLUMNS order: the CSV and JSON formats read them by position.
@@ -71,11 +69,10 @@ class VerificationRecord:
     status: str
 
     def to_dict(self) -> dict:
-        return dict(zip(CSV_COLUMNS, astuple(self)))
+        return dict(zip(CSV_COLUMNS, self))
 
 
-@dataclass
-class _Bucket:
+class _Bucket(NamedTuple):
     """Minimum count of one alpha, the sorted canonical forms of every
     graph attaining it, and how many graphs were scanned."""
 
@@ -108,10 +105,9 @@ def _scan_order(graph_class: str, n: int) -> dict[int, _Bucket]:
     return buckets
 
 
-@dataclass
-class VerifyResult:
+class VerifyResult(NamedTuple):
     records: list[VerificationRecord]
-    all_witnesses: dict[tuple[str, int, int], list[str]] = field(default_factory=dict)
+    all_witnesses: dict[tuple[str, int, int], list[str]]
 
     @property
     def violations(self) -> list[VerificationRecord]:
@@ -127,7 +123,7 @@ def _verify_class(graph_class: str, n_max: int, jobs: int) -> VerifyResult:
 
 def _class_result(graph_class: str, buckets_by_n: dict[int, dict[int, _Bucket]]) -> VerifyResult:
     """Certificates of one class from its scanned orders, sorted by (n, alpha)."""
-    result = VerifyResult(records=[])
+    result = VerifyResult([], {})
     for n in sorted(buckets_by_n):
         for alpha, b in sorted(buckets_by_n[n].items()):
             floor = bound(BoundQuery(graph_class, n, alpha))
@@ -206,16 +202,15 @@ def verify_unicyclic_theorem(n_max: int, jobs: int = 1) -> VerifyResult:
     return _verify_class("unicyclic", n_max, jobs)
 
 
-@dataclass
-class Claim1Report:
+class Claim1Report(NamedTuple):
     """Even-cycle unicyclic graphs all satisfy alpha >= ceil(n/2)."""
 
     n_max: int
     graphs_checked: int
-    violations: list[str] = field(default_factory=list)  # graph6 witnesses
+    violations: list[str]  # graph6 witnesses
 
     def to_dict(self) -> dict:
-        return {"claim": "even_cycle_alpha", **asdict(self)}
+        return {"claim": "even_cycle_alpha", **self._asdict()}
 
 
 def verify_claim1(n_max: int) -> Claim1Report:
@@ -239,15 +234,15 @@ def _claim1_order(n: int) -> tuple[int, list[str]]:
 
 def _claim1_report(n_max: int, orders: Iterable[tuple[int, list[str]]]) -> Claim1Report:
     """The report summed over each order's _claim1_order result."""
-    report = Claim1Report(n_max=n_max, graphs_checked=0)
+    total = 0
+    found: list[str] = []
     for checked, violations in orders:
-        report.graphs_checked += checked
-        report.violations += violations
-    return report
+        total += checked
+        found += violations
+    return Claim1Report(n_max, total, found)
 
 
-@dataclass
-class CycleBoundRow:
+class CycleBoundRow(NamedTuple):
     n: int
     mis: int
     bound: int
@@ -257,12 +252,11 @@ class CycleBoundRow:
         return self.mis == self.bound
 
 
-@dataclass
-class CycleBoundReport:
+class CycleBoundReport(NamedTuple):
     """mis(C_n) >= l(floor((n+1)/2)) for 5 <= n <= n_max."""
 
     n_max: int
-    rows: list[CycleBoundRow] = field(default_factory=list)
+    rows: list[CycleBoundRow]
 
     @property
     def violations(self) -> list[CycleBoundRow]:
@@ -276,17 +270,17 @@ class CycleBoundReport:
         return {
             "claim": "cycle_lower_bound",
             "n_max": self.n_max,
-            "rows": [{**asdict(r), "equality": r.equality} for r in self.rows],
+            "rows": [{**r._asdict(), "equality": r.equality} for r in self.rows],
             "violations": [r.n for r in self.violations],
         }
 
 
 def verify_cycle_bound(n_max: int) -> CycleBoundReport:
-    report = CycleBoundReport(n_max=n_max)
+    rows = []
     for n in _orders("cycle", n_max):
         mis = shape_mis_alpha("unicyclic", (LEAF,) * n)[0]  # the bare cycle C_n
-        report.rows.append(CycleBoundRow(n=n, mis=mis, bound=ell_seq((n + 1) // 2)))
-    return report
+        rows.append(CycleBoundRow(n, mis, ell_seq((n + 1) // 2)))
+    return CycleBoundReport(n_max, rows)
 
 
 def _sorted_records(records: Iterable[VerificationRecord]) -> list[VerificationRecord]:
@@ -297,7 +291,7 @@ def records_to_csv(records: Iterable[VerificationRecord]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    writer.writerows(astuple(r) for r in _sorted_records(records))
+    writer.writerows(_sorted_records(records))
     return buf.getvalue()
 
 

@@ -7,11 +7,12 @@ permutation sweeps, the partition refinement as it was before inert
 splitters, the single canonical path before twin cells were split in
 one step, the backtracking canonical search (`_CanonSearch`, with twin
 classes and automorphism pruning) that the single path replaced in
-the package and that still takes any graph, rooted trees as nested tuples, Pruefer decoding, levelwise
-labeled growth with canonical dedup, and lemma 2's sampling loop drawn
-one randrange at a time. None of it shares algorithms with the
-package's counting routes, and the package itself does not import this
-module.
+the package and that still takes any graph, rooted trees as nested
+tuples, Pruefer decoding, levelwise labeled growth with canonical
+dedup, lemma 2's sampling loop drawn one randrange at a time, and the
+majorization order lemma 2 is stated in. None of it shares algorithms
+with the package's counting routes, and the package itself does not
+import this module.
 """
 
 from __future__ import annotations
@@ -43,6 +44,11 @@ _BRUTE_CHUNK = 1 << 20
 # Cap on stored automorphisms during canonical labeling; only affects
 # pruning strength, never correctness.
 _MAX_STORED_AUTOMORPHISMS = 512
+
+
+def majorizes(a: tuple[int, int], b: tuple[int, int]) -> bool:
+    """(a1,a2) majorizes (b1,b2) iff a1 >= b1 and a1+a2 >= b1+b2."""
+    return a[0] >= b[0] and a[0] + a[1] >= b[0] + b[1]
 
 
 def lemma2_tuples_reference(samples: int, seed: int, value_range: int = 10_000) -> list[tuple]:

@@ -14,13 +14,12 @@ from misbounds.bounds import (
     fib,
     g_seq,
     h_seq,
-    majorizes,
     sweep_sequence_lemmas,
     tree_bound,
     unicyclic_bound,
 )
 
-from oracle_helpers import lemma2_tuples_reference
+from oracle_helpers import lemma2_tuples_reference, majorizes
 
 
 def fib_oracle(n):

@@ -109,6 +109,11 @@ class TestConstruct:
         code, _, err = run(capsys, "construct", "--family", "T", "-n", "8")
         assert code == 2
 
+    @pytest.mark.parametrize("family", ["L", "star", "cycle", "triangle-star"])
+    def test_alpha_for_a_fixed_family_exits_2(self, capsys, family):
+        code, out, err = run(capsys, "construct", "--family", family, "-n", "9", "-a", "2")
+        assert (code, out) == (2, "") and err.count("\n") == 1 and err.startswith("error:")
+
 
 class TestEnumerate:
     def test_trees_n5(self, capsys):
@@ -149,6 +154,11 @@ class TestEnumerate:
     def test_limit_guard(self, capsys):
         code, _, err = run(capsys, "enumerate", "--class", "unicyclic", "-n", "15")
         assert code == 2 and "limit" in err
+
+    def test_cycle_length_out_of_range_exits_2(self, capsys):
+        code, out, err = run(capsys, "enumerate", "--class", "unicyclic", "-n", "5",
+                             "--cycle-length", "0")
+        assert (code, out) == (2, "") and err.startswith("error:")
 
 
 class TestVerify:

@@ -241,6 +241,9 @@ class TestPredictedMis:
             predicted_mis(ExtremalSpec("nope", 8))
         with pytest.raises(ValueError):
             build_family(ExtremalSpec("T", 8, None))
+        for family in ("L", "star", "cycle", "triangle_star"):
+            with pytest.raises(ValueError, match="fixes alpha"):
+                predicted_mis(ExtremalSpec(family, 9, 2))
 
     @pytest.mark.parametrize("family", ["T", "H"])
     def test_missing_alpha(self, family):

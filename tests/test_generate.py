@@ -251,6 +251,9 @@ class TestTasks:
             task_stream(GenerationTask("tree", 5, cycle_length=3))
         with pytest.raises(ValueError):
             task_stream(GenerationTask("graphs", 5))
+        for c in (0, 9):
+            with pytest.raises(ValueError, match="cycle length"):
+                task_stream(GenerationTask("unicyclic", 5, cycle_length=c))
 
 
 # sha256 of the newline-joined graph6 lines of each stream. `misbounds

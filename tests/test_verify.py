@@ -260,9 +260,11 @@ class TestWorkerBound:
 
     def test_import_loads_no_pool_machinery(self):
         """The pool module is imported only where a pool starts, so a CLI
-        call or a one-worker run never loads it."""
-        pool = ("concurrent.futures", "multiprocessing")
-        code = f"import sys, misbounds; print([m for m in {pool} if m in sys.modules])"
+        call or a one-worker run never loads it. The value types are
+        NamedTuples, so neither is `dataclasses` (nor `inspect`, which it
+        loads)."""
+        unwanted = ("concurrent.futures", "multiprocessing", "dataclasses", "inspect")
+        code = f"import sys, misbounds; print([m for m in {unwanted} if m in sys.modules])"
         path = [SRC] + [p for p in [os.environ.get("PYTHONPATH")] if p]
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
