@@ -120,6 +120,8 @@ def _cmd_verify(args) -> int:
     jobs = args.jobs if args.jobs is not None else _default_jobs()
     if jobs < 1:
         raise UsageError(f"--jobs must be at least 1, got {jobs}")
+    if args.all_witnesses and args.graph_class in ("claim1", "cycle"):
+        raise UsageError(f"--all-witnesses applies to the class scans, not {args.graph_class}")
     if args.graph_class in ("tree", "forest", "unicyclic"):
         runner = {
             "tree": verify_tree_theorem,

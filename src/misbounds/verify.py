@@ -6,8 +6,8 @@ and tracks the minimum MIS count per bucket together with how many
 graphs attain it and a canonical witness. Each order is scanned whole
 by one worker, so worker count and scheduling never change the output;
 certificate files are sorted and byte-stable. certify runs the class
-scans, claim 1, the cycle bound and the lemma sweep as tasks of one
-process pool and writes every certificate and report.
+scans (the unicyclic one tallies claim 1 too), the cycle bound and the
+lemma sweep as tasks of one pool and writes every certificate and report.
 """
 
 from __future__ import annotations
@@ -81,15 +81,22 @@ class _Bucket(NamedTuple):
     scanned: int
 
 
-def _scan_order(graph_class: str, n: int) -> dict[int, _Bucket]:
-    """Scan every shape of one order, bucketed by alpha.
+def _scan_order(graph_class: str, n: int) -> tuple[dict[int, _Bucket], tuple[int, list[str]]]:
+    """Scan every shape of one order. Returns its buckets by alpha and
+    claim 1's tally: how many shapes have an even cycle, and the graph6
+    of each of those with 2 * alpha < n, in stream order. The tally of a
+    tree or forest order is (0, []).
 
     Each shape is counted without building its graph. Each alpha keeps
     the shapes tied at its running minimum; only those left at the end
-    of the order are built and put in canonical form.
+    of the order and claim 1's violations are put in canonical form.
     """
     scanned: dict[int, int] = {}
     tied: dict[int, tuple[int, list[tuple]]] = {}
+    # By class, not by length alone: a tree's bicentroid shape is a pair.
+    necklaces = graph_class == "unicyclic"
+    evens = 0
+    low: list[tuple] = []
     for shape in shape_stream(GenerationTask(graph_class, n)):
         m, alpha = shape_mis_alpha(graph_class, shape)
         scanned[alpha] = scanned.get(alpha, 0) + 1
@@ -98,11 +105,18 @@ def _scan_order(graph_class: str, n: int) -> dict[int, _Bucket]:
             tied[alpha] = (m, [shape])
         elif m == best[0]:
             best[1].append(shape)
+        if necklaces and not len(shape) % 2:
+            evens += 1
+            if 2 * alpha < n:
+                low.append(shape)
+
+    def form(shape: tuple) -> str:
+        return canonical_form(shape_graph(graph_class, shape)).decode("ascii")
+
     buckets: dict[int, _Bucket] = {}
     for alpha, (m, survivors) in tied.items():
-        forms = [canonical_form(shape_graph(graph_class, s)).decode("ascii") for s in survivors]
-        buckets[alpha] = _Bucket(m, sorted(forms), scanned[alpha])
-    return buckets
+        buckets[alpha] = _Bucket(m, sorted(map(form, survivors)), scanned[alpha])
+    return buckets, (evens, list(map(form, low)))
 
 
 class VerifyResult(NamedTuple):
@@ -118,7 +132,7 @@ def _verify_class(graph_class: str, n_max: int, jobs: int) -> VerifyResult:
     # One whole order per task, largest first: the top order dominates.
     orders = _orders(graph_class, n_max)[::-1]
     scans = _run_tasks([(_scan_order, (graph_class, n)) for n in orders], jobs)
-    return _class_result(graph_class, {n: scan for n, (scan, _) in zip(orders, scans)})
+    return _class_result(graph_class, {n: scan[0] for n, (scan, _) in zip(orders, scans)})
 
 
 def _class_result(graph_class: str, buckets_by_n: dict[int, dict[int, _Bucket]]) -> VerifyResult:
@@ -158,8 +172,7 @@ def _run_tasks(tasks: list[tuple[Callable, tuple]], jobs: int) -> list[tuple]:
     cores or tasks would idle. A task that raises cancels those not yet
     started and raises here; jobs below 1 raise ValueError before any
     task starts."""
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    _check_jobs(jobs)
     workers = min(jobs, os.cpu_count() or 1, len(tasks))
     if workers <= 1:
         return list(map(_timed_call, tasks))
@@ -168,6 +181,11 @@ def _run_tasks(tasks: list[tuple[Callable, tuple]], jobs: int) -> list[tuple]:
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_timed_call, tasks))
+
+
+def _check_jobs(jobs: int) -> None:
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
 
 
 def _timed_call(task: tuple[Callable, tuple]) -> tuple:
@@ -214,32 +232,15 @@ class Claim1Report(NamedTuple):
 
 
 def verify_claim1(n_max: int) -> Claim1Report:
-    return _claim1_report(n_max, map(_claim1_order, _orders("claim1", n_max)))
+    """Claim 1 over orders 4..n_max, tallied by the unicyclic scan of each."""
+    orders = _orders("claim1", n_max)
+    return _claim1_report(n_max, (_scan_order("unicyclic", n)[1] for n in orders))
 
 
-def _claim1_order(n: int) -> tuple[int, list[str]]:
-    """(graphs checked, graph6 of each violation) over the even-cycle
-    unicyclic graphs of order n. Each alpha is folded from the graph's
-    shape; a graph is built only for a violation."""
-    need = -(-n // 2)
-    checked = 0
-    violations = []
-    for c in range(4, n + 1, 2):
-        for s in shape_stream(GenerationTask("unicyclic", n, cycle_length=c)):
-            checked += 1
-            if shape_mis_alpha("unicyclic", s)[1] < need:
-                violations.append(canonical_form(shape_graph("unicyclic", s)).decode("ascii"))
-    return checked, violations
-
-
-def _claim1_report(n_max: int, orders: Iterable[tuple[int, list[str]]]) -> Claim1Report:
-    """The report summed over each order's _claim1_order result."""
-    total = 0
-    found: list[str] = []
-    for checked, violations in orders:
-        total += checked
-        found += violations
-    return Claim1Report(n_max, total, found)
+def _claim1_report(n_max: int, tallies: Iterable[tuple[int, list[str]]]) -> Claim1Report:
+    """The report summed over the claim-1 tallies of _scan_order."""
+    tallies = list(tallies)
+    return Claim1Report(n_max, sum(t[0] for t in tallies), [g for t in tallies for g in t[1]])
 
 
 class CycleBoundRow(NamedTuple):
@@ -351,12 +352,12 @@ class Certification(NamedTuple):
 
 
 # Relative cost of a task, so the pool can start the longest first
-# (Graham 1969). An order of a scan or of claim 1 costs about three times
-# the order below it; a tree of order n about as much as a unicyclic
-# graph of order n - 3, a forest or claim 1 of order n as much as a
-# unicyclic graph of order n - 1. The lemma sweep outlasts every other
-# task and the cycle bound takes milliseconds.
-_ORDER_SHIFT = {"tree": -3, "forest": -1, "unicyclic": 0, "claim1": -1}
+# (Graham 1969). An order of a scan costs about three times the order
+# below it; a tree of order n about as much as a unicyclic graph of
+# order n - 3, a forest of order n as much as a unicyclic graph of order
+# n - 1 (claim 1 rides in the unicyclic scan). The lemma sweep outlasts
+# every other task and the cycle bound takes milliseconds.
+_ORDER_SHIFT = {"tree": -3, "forest": -1, "unicyclic": 0}
 
 
 def _task_cost(key: tuple[str, int]) -> float:
@@ -373,42 +374,38 @@ def certify(out_dir: str, scope: CertifyScope = CertifyScope(), jobs: int = 1) -
     <class>.csv and <class>.json for tree, unicyclic and forest, then
     claim1.json, cycle_bound.json and lemma_sweep.json.
 
-    Every order of every class scan and of claim 1, the cycle bound and
-    the lemma sweep are tasks of one _run_tasks call, longest first.
-    Every order limit is checked before any task starts. The files do
-    not depend on jobs.
+    Every order of every class scan, the cycle bound and the lemma sweep
+    are tasks of one _run_tasks call, longest first; claim 1 is summed
+    from the tallies of the unicyclic orders. Every order limit and the
+    job count are checked, and out_dir is made, before any task starts.
+    The files do not depend on jobs.
     """
-    max_n = {
-        "tree": scope.tree_max_n,
-        "unicyclic": scope.unicyclic_max_n,
-        "forest": scope.forest_max_n,
-        "claim1": scope.unicyclic_max_n,
-    }
-    orders = {check: _orders(check, n) for check, n in max_n.items()}
+    orders = {c: _orders(c, getattr(scope, f"{c}_max_n")) for c in ("tree", "unicyclic", "forest")}
+    _orders("claim1", scope.unicyclic_max_n)
     _orders("cycle", scope.cycle_max_n)
     check_lemma_limit(scope.lemma_limit)
+    _check_jobs(jobs)
+    os.makedirs(out_dir, exist_ok=True)
     tasks = {
         ("lemmas", 0): (sweep_sequence_lemmas, (scope.lemma_limit,)),
         ("cycle", 0): (verify_cycle_bound, (scope.cycle_max_n,)),
     }
-    for check, ns in orders.items():
+    for c, ns in orders.items():
         for n in ns:
-            tasks[check, n] = (_claim1_order, (n,)) if check == "claim1" else (_scan_order, (check, n))
+            tasks[c, n] = (_scan_order, (c, n))
     keys = sorted(tasks, key=_task_cost, reverse=True)
     done = dict(zip(keys, _run_tasks([tasks[k] for k in keys], jobs)))
 
-    classes = {
-        c: _class_result(c, {n: done[c, n][0] for n in orders[c]})
-        for c in ("tree", "unicyclic", "forest")
-    }
+    classes = {c: _class_result(c, {n: done[c, n][0][0] for n in ns}) for c, ns in orders.items()}
     run = Certification(
         classes=classes,
-        seconds={c: sum(done[c, n][1] for n in orders[c]) for c in classes},
-        claim1=_claim1_report(max_n["claim1"], (done["claim1", n][0] for n in orders["claim1"])),
+        seconds={c: sum(done[c, n][1] for n in ns) for c, ns in orders.items()},
+        claim1=_claim1_report(
+            scope.unicyclic_max_n, (done["unicyclic", n][0][1] for n in orders["unicyclic"])
+        ),
         cycles=done["cycle", 0][0],
         lemmas=done["lemmas", 0][0],
     )
-    os.makedirs(out_dir, exist_ok=True)
     for c, result in classes.items():
         export_certificates(result.records, os.path.join(out_dir, f"{c}.csv"))
         export_certificates(result.records, os.path.join(out_dir, f"{c}.json"))

@@ -205,6 +205,29 @@ class TestVerify:
         assert code == 0
         assert out.splitlines()[0] == "n=5 mis=5 bound=5 equality"
 
+    @pytest.mark.parametrize("graph_class, runner", [("claim1", "verify_claim1"),
+                                                     ("cycle", "verify_cycle_bound")])
+    def test_all_witnesses_refused_without_a_scan(self, capsys, monkeypatch, tmp_path,
+                                                  graph_class, runner):
+        """Only the class scans have minimizers to list; elsewhere the flag
+        would write nothing and exit 0."""
+        def scan(*args):
+            raise AssertionError("checked before refusing")
+
+        monkeypatch.setattr(f"misbounds.cli.{runner}", scan)
+        path = tmp_path / "w.txt"
+        code, out, err = run(capsys, "verify", "--class", graph_class, "--max-n", "6",
+                             "--all-witnesses", str(path))
+        assert (code, out) == (2, "") and err.count("\n") == 1 and err.startswith("error:")
+        assert not path.exists()
+
+    @pytest.mark.parametrize("graph_class, first", [("tree", 2), ("unicyclic", 3), ("forest", 1),
+                                                    ("claim1", 4), ("cycle", 5)])
+    def test_below_the_first_order_exits_2(self, capsys, graph_class, first):
+        code, out, err = run(capsys, "verify", "--class", graph_class,
+                             "--max-n", str(first - 1), "--jobs", "1")
+        assert (code, out, err) == (2, "", f"error: need n_max >= {first}\n")
+
 
 class TestLemmasConvert:
     def test_lemmas(self, capsys):

@@ -22,6 +22,9 @@ from misbounds.generate import (
 from misbounds.graphs import canonical_form, classify, parse_graph6
 from misbounds.verify import (
     CSV_COLUMNS,
+    CertifyScope,
+    _scan_order,
+    certify,
     export_certificates,
     records_from_json,
     records_to_csv,
@@ -386,11 +389,47 @@ class TestClaim1:
         assert rep.violations == [canonical_form(unicyclic_graph(s)).decode() for s in order6]
         assert rep.graphs_checked == verify_claim1(5).graphs_checked + len(order6)
 
+    def test_trees_and_forests_tally_nothing(self):
+        """A tree's bicentroid shape is a pair, so the scan must check the
+        class, not only the shape's length, before counting a cycle."""
+        for n in range(1, 11):
+            assert _scan_order("tree", n)[1] == (0, [])
+            assert _scan_order("forest", n)[1] == (0, [])
+
     def test_serializes(self):
         rep = verify_claim1(6)
         d = rep.to_dict()
         assert d["violations"] == [] and d["graphs_checked"] == rep.graphs_checked
         assert list(d) == ["claim", "n_max", "graphs_checked", "violations"]
+
+
+class TestCertifyChecks:
+    """certify refuses a bad scope before any task, and makes out_dir
+    after the scope checks but before the tasks run."""
+
+    @pytest.fixture
+    def no_tasks(self, monkeypatch):
+        def run_tasks(tasks, jobs):
+            raise AssertionError("a task started")
+
+        monkeypatch.setattr("misbounds.verify._run_tasks", run_tasks)
+
+    def test_bad_out_dir_fails_before_any_task(self, tmp_path, no_tasks):
+        (tmp_path / "file").write_text("")
+        with pytest.raises(NotADirectoryError):
+            certify(str(tmp_path / "file" / "sub"))
+
+    @pytest.mark.parametrize("scope, message", [
+        (CertifyScope(forest_max_n=FOREST_LIMIT + 1),
+         f"order {FOREST_LIMIT + 1} above forest limit {FOREST_LIMIT}"),
+        (CertifyScope(unicyclic_max_n=3), "need n_max >= 4"),
+    ])
+    def test_refused_scope_makes_no_directory(self, tmp_path, no_tasks, scope, message):
+        out = tmp_path / "certs"
+        with pytest.raises(ValueError) as exc:
+            certify(str(out), scope)
+        assert str(exc.value) == message
+        assert not out.exists()
 
 
 class TestCycleBound:
