@@ -285,7 +285,15 @@ def main(argv: Optional[list[str]] = None) -> int:
 def run_command(func, args) -> int:
     """Run func(args) and return its exit code. An error is reported as
     one line on stderr: 2 for a usage or input error (a bad value, or a
-    path that is missing or cannot be opened), 3 for a crash."""
+    path that is missing or cannot be opened), 3 for a crash.
+
+    Python's 4,300-digit cap on int-to-decimal conversion (3.10.7 on) is
+    lifted while func runs, so numbers print in full. Decimal input keeps
+    it: argparse has read its integers, and parse_dot refuses a long
+    vertex number by its length."""
+    cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    set_cap = getattr(sys, "set_int_max_str_digits", lambda digits: None)
+    set_cap(0)
     try:
         return func(args)
     except (UsageError, ValueError, FileNotFoundError, IsADirectoryError,
@@ -295,6 +303,8 @@ def run_command(func, args) -> int:
     except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+    finally:
+        set_cap(cap)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -12,9 +12,10 @@ code with them (tests/oracle_helpers.py):
   cliques, the route for every other component.
 
 mis_alpha finds each component by the pinned route's BFS in the graph's
-own labels and relabels only one that takes the walk; mis_count and
-independence_number read it. Both the tree pass and shape_mis_alpha
-grow a vertex's state one child at a time through _adopt.
+own labels, and walks a component that takes the walk by its vertex
+mask in those labels; mis_count and independence_number read it. Both
+the tree pass and shape_mis_alpha grow a vertex's state one child at a
+time through _adopt.
 
 shape_mis_alpha counts a generator shape (trees, forests, unicyclic
 graphs) without building its graph. It reads each rooted code's root
@@ -28,7 +29,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, Optional
 
-from .graphs import Graph, _bits, _induced
+from .graphs import Graph, _bits
 from .graphs import classify  # noqa: F401  bench/child.py traces counting.classify
 from .rooted import _CHILDREN
 
@@ -52,13 +53,13 @@ _COVERED = (0, 1, 0, _FORBIDDEN, 0)
 _S_OUT = (0, 1, 1, _FORBIDDEN, 0)
 
 
-def _clique_walk(g: Graph) -> tuple[int, int]:
-    """(count, largest size) of the maximal independent sets of g: the
-    maximal cliques of the complement, walked by pivoted branch and bound
+def _clique_walk(g: Graph, mask: int) -> tuple[int, int]:
+    """(count, largest size) of the maximal independent sets of the
+    subgraph of g on the vertices in mask, in g's own labels: the maximal
+    cliques of its complement, walked by pivoted branch and bound
     (pivot = most candidates excluded)."""
-    n = g.order
-    full = (1 << n) - 1
-    comp = tuple(full & ~g.adj[v] & ~(1 << v) for v in range(n))
+    # v's neighbours in the complement within mask; read only for v in mask
+    comp = tuple(mask & ~a & ~(1 << v) for v, a in enumerate(g.adj))
     count = largest = 0
 
     def expand(r: int, p: int, x: int) -> None:
@@ -76,7 +77,7 @@ def _clique_walk(g: Graph) -> tuple[int, int]:
             p &= ~vb
             x |= vb
 
-    expand(0, full, 0)
+    expand(0, mask, 0)
     return count, largest
 
 
@@ -98,7 +99,7 @@ def mis_alpha(g: Graph) -> tuple[int, int]:
     while rest:
         comp, counts = _pinned_mis_alpha(g, (rest & -rest).bit_length() - 1)
         rest &= ~comp
-        m, a = counts or _clique_walk(_induced(g, tuple(_bits(comp))))
+        m, a = counts or _clique_walk(g, comp)
         mis *= m
         alpha += a
     return mis, alpha

@@ -7,7 +7,7 @@ tests) cheap in pure Python at the orders this package works with.
 Graph values are immutable; every function here is pure.
 
 A canonical form is the graph6 text of the graph relabeled to its
-minimum upper-triangle encoding, packed straight from that encoding.
+least upper-triangle bits, written by write_graph6 like any other.
 Every graph with at most one cycle reaches the minimum along one path
 of refinement and individualization; graphs with more cycles are
 refused.
@@ -111,19 +111,6 @@ def _component_masks(g: Graph) -> Iterator[int]:
         yield comp
 
 
-def _induced(g: Graph, verts: tuple[int, ...]) -> Graph:
-    if len(verts) == g.order:  # verts ascend, so this is g unchanged
-        return g
-    pos = {v: i for i, v in enumerate(verts)}
-    adj = [0] * len(verts)
-    for i, v in enumerate(verts):
-        for w in _bits(g.adj[v]):
-            j = pos.get(w)
-            if j is not None:
-                adj[i] |= 1 << j
-    return Graph(len(verts), tuple(adj))
-
-
 def _strip_to_cycle(g: Graph) -> list[int]:
     """Vertices left after iteratively removing degree-1 vertices."""
     deg = [g.adj[v].bit_count() for v in range(g.order)]
@@ -191,12 +178,13 @@ _G6_HEADER = ">>graph6<<"
 _G6_OUT_OF_RANGE = re.compile(r"[^?-~]")
 _G6_NONZERO = re.compile(r"[^?]")
 _G6_ADD_63 = bytes(range(63, 127)).ljust(256, b"?")  # six data bits -> character
+_G6_MAX_ORDER = 258047  # the largest order the one- and four-byte size forms hold
 
 
 def _g6_size_prefix(n: int) -> str:
     if n <= 62:
         return chr(63 + n)
-    if n <= 258047:
+    if n <= _G6_MAX_ORDER:
         return "~" + "".join(chr(63 + (n >> s & 63)) for s in (12, 6, 0))
     raise ValueError(f"order {n} too large for supported graph6 size forms")
 
@@ -205,15 +193,17 @@ def write_graph6(g: Graph) -> str:
     """Encode as graph6 text (one-byte size for n <= 62, 4-byte above).
 
     Only the edge bits are set in a zeroed buffer, so a sparse graph is
-    written in time linear in the string.
+    written in time linear in the string. An order too large for the
+    size forms is refused before the buffer is made.
     """
     n = g.order
+    prefix = _g6_size_prefix(n)
     vals = bytearray((n * (n - 1) // 2 + 5) // 6)
     for j in range(1, n):
         for i in _bits(g.adj[j] & ((1 << j) - 1)):
             k = j * (j - 1) // 2 + i  # bit k is the pair i < j
             vals[k // 6] |= 32 >> k % 6
-    return _g6_size_prefix(n) + vals.translate(_G6_ADD_63).decode("ascii")
+    return prefix + vals.translate(_G6_ADD_63).decode("ascii")
 
 
 def parse_graph6(text: str) -> Graph:
@@ -273,6 +263,16 @@ def to_dot(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _dot_vertex(digits: str) -> int:
+    """A DOT vertex number, refused at or above graph6's largest order
+    before the graph is built; one of more digits than that order's six
+    is refused by its length, without converting it."""
+    if len(digits.lstrip("0")) > 6 or int(digits) >= _G6_MAX_ORDER:
+        raise ValueError(f"DOT vertex numbers must be below {_G6_MAX_ORDER}, "
+                         "the largest graph6 order")
+    return int(digits)
+
+
 def parse_dot(text: str) -> Graph:
     """Read the DOT dialect produced by to_dot: vertex and edge statements
     ended by ';' or a line break, on one line or many, inside the
@@ -285,13 +285,13 @@ def parse_dot(text: str) -> Graph:
             continue
         m = re.fullmatch(r"(\d+)\s*--\s*(\d+)", stmt)
         if m:
-            u, v = int(m.group(1)), int(m.group(2))
+            u, v = _dot_vertex(m.group(1)), _dot_vertex(m.group(2))
             verts.update((u, v))
             edges.append((u, v))
             continue
         m = re.fullmatch(r"(\d+)", stmt)
         if m:
-            verts.add(int(m.group(1)))
+            verts.add(_dot_vertex(m.group(1)))
             continue
         raise ValueError(f"unrecognized DOT statement: {stmt!r}")
     order = max(verts) + 1 if verts else 0
@@ -351,34 +351,14 @@ def _refine(
             return cells, inert
 
 
-def _encode(adj: tuple[int, ...], lab: list[int]) -> int:
-    """Upper-triangle column-order bitstring of the relabeled graph,
-    packed into an int with the first bit most significant. That is
-    graph6's bit order, so _pack_graph6 writes it as it stands."""
-    enc = 0
-    for j in range(1, len(lab)):
-        row = adj[lab[j]]
-        for i in range(j):
-            enc = enc << 1 | (row >> lab[i] & 1)
-    return enc
+def _single_path(adj: tuple[int, ...], n: int) -> list[int]:
+    """The labeling reached by refining, splitting off the lowest vertex
+    of the first non-singleton cell, and repeating: entry i is the vertex
+    that takes label i. The null graph starts from no cells.
 
-
-def _pack_graph6(n: int, enc: int) -> bytes:
-    """graph6 bytes of the order-n graph whose _encode bitstring is enc:
-    the size prefix, then six bits per character, zero-padded at the end."""
-    bits = n * (n - 1) // 2
-    chars = (bits + 5) // 6
-    enc <<= 6 * chars - bits
-    body = bytes(63 + (enc >> 6 * i & 63) for i in reversed(range(chars)))
-    return _g6_size_prefix(n).encode("ascii") + body
-
-
-def _single_path(adj: tuple[int, ...], n: int) -> int:
-    """Encoding of the labeling reached by refining, splitting off the
-    lowest vertex of the first non-singleton cell, and repeating.
-
-    It is the minimum encoding whenever each such cell is one orbit of
-    the automorphisms fixing the current partition. On a graph with at
+    The relabeled graph's upper-triangle bits, in graph6's column order,
+    are the least over all labelings whenever each such cell is one orbit
+    of the automorphisms fixing the current partition. On a graph with at
     most one cycle colour refinement finds that orbit partition
     (canonical_form has the argument; for forests see also Arvind,
     Köbler, Rattan and Verbitsky 2017).
@@ -389,12 +369,12 @@ def _single_path(adj: tuple[int, ...], n: int) -> int:
     mask or misses it, so splitting off a twin splits nothing else, and
     the vertex-by-vertex loop would reach the same partition.
     """
-    cells, inert = [(1 << n) - 1], set()
+    cells, inert = [(1 << n) - 1] if n else [], set()
     while True:
         cells, inert = _refine(adj, cells, inert)
         k = next((i for i, cell in enumerate(cells) if cell & (cell - 1)), None)
         if k is None:
-            return _encode(adj, [cell.bit_length() - 1 for cell in cells])
+            return [cell.bit_length() - 1 for cell in cells]
         cell = cells[k]
         low = cell & -cell
         if all(adj[v] == adj[low.bit_length() - 1] for v in _bits(cell)):
@@ -408,10 +388,11 @@ def _single_path(adj: tuple[int, ...], n: int) -> int:
 def canonical_form(g: Graph) -> bytes:
     """Canonical byte string: equal for two graphs iff they are isomorphic.
 
-    The bytes are the graph6 encoding of the graph relabeled to its
-    minimum encoding, so any canonical form parses back into a
-    representative. The graph must have at most one cycle
-    (edge_count <= order - components + 1); ValueError otherwise.
+    The bytes are write_graph6 of the graph relabeled along the single
+    path, whose upper-triangle bits are the least over all labelings, so
+    any canonical form parses back into a representative. The graph must
+    have at most one cycle (edge_count <= order - components + 1);
+    ValueError otherwise.
 
     Every such graph takes the single path, which is exact when each
     cell it individualizes from is one orbit of the automorphisms that
@@ -435,4 +416,7 @@ def canonical_form(g: Graph) -> bytes:
     rank = g.edge_count - n + sum(1 for _ in _component_masks(g))
     if rank > 1:
         raise ValueError(f"canonical_form needs at most one cycle, got cycle rank {rank}")
-    return _pack_graph6(n, _single_path(g.adj, n))
+    pos = [0] * n  # pos[v] is v's label on the single path
+    for i, v in enumerate(_single_path(g.adj, n)):
+        pos[v] = i
+    return write_graph6(make_graph(n, ((pos[u], pos[v]) for u, v in g.edges()))).encode("ascii")

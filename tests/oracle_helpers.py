@@ -7,10 +7,13 @@ permutation sweeps, the partition refinement as it was before inert
 splitters, the single canonical path before twin cells were split in
 one step, the backtracking canonical search (`_CanonSearch`, with twin
 classes and automorphism pruning) that the single path replaced in
-the package and that still takes any graph, rooted trees as nested
-tuples, Pruefer decoding, levelwise labeled growth with canonical
-dedup, lemma 2's sampling loop drawn one randrange at a time, and the
-majorization order lemma 2 is stated in. None of it shares algorithms
+the package and that still takes any graph, the upper-triangle encoder
+and graph6 packer that search compares and writes its candidates with
+(`_encode`, `_pack_graph6`; the package writes graph6 only through
+`write_graph6`), rooted trees as nested tuples, Pruefer decoding,
+levelwise labeled growth with canonical dedup, lemma 2's sampling loop
+drawn one randrange at a time, and the majorization order lemma 2 is
+stated in. None of it shares algorithms
 with the package's counting routes, and the package itself does not
 import this module.
 """
@@ -29,8 +32,7 @@ import numpy as np
 from misbounds.graphs import (
     Graph,
     _bits,
-    _encode,
-    _pack_graph6,
+    _g6_size_prefix,
     _refine,
     canonical_form,
     classify,
@@ -330,6 +332,28 @@ def refine_reference(adj: tuple[int, ...], cells: list[list[int]]) -> list[list[
                 break
         if not changed:
             return cells
+
+
+def _encode(adj: tuple[int, ...], lab: list[int]) -> int:
+    """Upper-triangle column-order bitstring of the relabeled graph,
+    packed into an int with the first bit most significant. That is
+    graph6's bit order, so _pack_graph6 writes it as it stands."""
+    enc = 0
+    for j in range(1, len(lab)):
+        row = adj[lab[j]]
+        for i in range(j):
+            enc = enc << 1 | (row >> lab[i] & 1)
+    return enc
+
+
+def _pack_graph6(n: int, enc: int) -> bytes:
+    """graph6 bytes of the order-n graph whose _encode bitstring is enc:
+    the size prefix, then six bits per character, zero-padded at the end."""
+    bits = n * (n - 1) // 2
+    chars = (bits + 5) // 6
+    enc <<= 6 * chars - bits
+    body = bytes(63 + (enc >> 6 * i & 63) for i in reversed(range(chars)))
+    return _g6_size_prefix(n).encode("ascii") + body
 
 
 def single_path_reference(adj: tuple[int, ...], n: int) -> int:

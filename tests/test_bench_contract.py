@@ -1,10 +1,13 @@
-"""The benchmark's traced child at tiny scope.
+"""The benchmark's traced child at tiny scope, and every package name
+the benchmark uses.
 
 bench/child.py wraps package names by attribute (for example
-`misbounds.verify.mis_count` and `misbounds.counting.classify`), so a
-refactor that drops or renames one of them makes every traced run die.
-These tests check that every wrapped name exists and run the child as
-the benchmark does, in a subprocess; they only read bench/.
+`misbounds.verify.mis_count` and `misbounds.counting.classify`) and
+calls others through its module aliases (`verify.verify_claim1`,
+`cli.main`); bench/selftest.py and bench/frontier.py import names from
+the package. A refactor that drops or renames one of them makes the
+benchmark die. These tests check that every such name exists and run
+the child as the benchmark does, in a subprocess; they only read bench/.
 """
 
 from __future__ import annotations
@@ -18,7 +21,8 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-CHILD = ROOT / "bench" / "child.py"
+BENCH = ROOT / "bench"
+CHILD = BENCH / "child.py"
 TINY_SCOPE = {
     "classes": [["tree", 4], ["unicyclic", 4], ["forest", 3]],
     "claim1": 4,
@@ -83,3 +87,39 @@ def test_every_wrapped_attribute_exists():
     missing = [(m, a) for m, a in sorted(wrapped)
                if not callable(getattr(importlib.import_module(m), a, None))]
     assert missing == []
+
+
+def _missing(pairs: set[tuple[str, str]]) -> list[tuple[str, str]]:
+    return [(m, a) for m, a in sorted(pairs) if not hasattr(importlib.import_module(m), a)]
+
+
+def _imported_names() -> set[tuple[str, str]]:
+    """(module, name) for every `from misbounds.<module> import ...` in
+    bench/*.py, parenthesized lists included."""
+    pairs = set()
+    for path in BENCH.glob("*.py"):
+        for module, names in re.findall(r"from misbounds\.(\w+) import (\([^)]*\)|[^\n]*)",
+                                        path.read_text()):
+            pairs |= {("misbounds." + module, name) for name in re.findall(r"\w+", names)}
+    return pairs
+
+
+def test_every_imported_name_exists():
+    imported = _imported_names()
+    limits = {("misbounds.generate", name)
+              for name in ("TREE_LIMIT", "UNICYCLIC_LIMIT", "FOREST_LIMIT")}
+    assert limits | {("misbounds.bounds", "sweep_sequence_lemmas"),
+                     ("misbounds.graphs", "parse_graph6"),
+                     ("misbounds.verify", "records_to_csv")} <= imported
+    assert len(imported) == 12  # nine in selftest.py, three limits in frontier.py
+    assert _missing(imported) == []
+
+
+def test_every_alias_call_in_the_child_exists():
+    """`verify.<name>` and `cli.<name>` as the child calls them, outside
+    strings (span names such as "verify.scan" are not attributes)."""
+    called = {("misbounds." + alias, attr) for alias, attr in
+              re.findall(r'(?<!["\w.])(verify|cli)\.(\w+)', CHILD.read_text())}
+    assert {("misbounds.verify", "verify_tree_theorem"), ("misbounds.verify", "verify_claim1"),
+            ("misbounds.verify", "export_certificates"), ("misbounds.cli", "main")} <= called
+    assert _missing(called) == []

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from misbounds.cli import main
-from misbounds.graphs import make_graph, write_graph6
+from misbounds.graphs import make_graph, parse_graph6, write_graph6
 
 C5_G6 = "DUW"  # one labeling of the 5-cycle
 
@@ -81,6 +81,19 @@ class TestBound:
     def test_infeasible_is_usage_error(self, capsys):
         code, _, err = run(capsys, "bound", "--class", "tree", "-n", "8", "-a", "1")
         assert code == 2 and "infeasible" in err
+
+    def test_prints_every_digit_past_the_int_string_cap(self, capsys):
+        # g_seq(30000) has 6,270 digits, above Python's default cap of
+        # 4,300 on int-to-str; Decimal converts without the cap
+        from decimal import Decimal
+
+        from misbounds.bounds import g_seq
+
+        cap = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        code, out, err = run(capsys, "bound", "--class", "tree", "-n", "60000", "-a", "30000")
+        assert (code, err) == (0, "")
+        assert out == str(Decimal(g_seq(30000))) + "\n" and len(out) == 6271
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == cap  # restored
 
 
 class TestConstruct:
@@ -154,6 +167,15 @@ class TestEnumerate:
     def test_limit_guard(self, capsys):
         code, _, err = run(capsys, "enumerate", "--class", "unicyclic", "-n", "15")
         assert code == 2 and "limit" in err
+
+    def test_unsafe_large_lifts_the_limit(self, capsys):
+        # only the bare cycle has cycle length 15, so the run is cheap
+        argv = ["enumerate", "--class", "unicyclic", "-n", "15", "--cycle-length", "15"]
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", "error: order 15 above unicyclic limit 14\n")
+        code, out, err = run(capsys, *argv, "--unsafe-large")
+        assert (code, err) == (0, "")
+        assert parse_graph6(out) == make_graph(15, [(i, (i + 1) % 15) for i in range(15)])
 
     def test_cycle_length_out_of_range_exits_2(self, capsys):
         code, out, err = run(capsys, "enumerate", "--class", "unicyclic", "-n", "5",
@@ -284,6 +306,15 @@ class TestLemmasConvert:
         p.write_text(dot)
         code, out, _ = run(capsys, "convert", "--to", "graph6", "--file", str(p))
         assert code == 0 and out == g6 + "\n"
+
+    def test_convert_to_graph6_refuses_a_vertex_above_the_graph6_limit(self, capsys, monkeypatch):
+        # refused before make_graph would allocate 10^12 adjacency entries
+        import io
+
+        monkeypatch.setattr("sys.stdin", io.StringIO("graph { 1000000000000 }"))
+        code, out, err = run(capsys, "convert", "--to", "graph6")
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
     def test_convert_to_graph6_refuses_other_statements(self, capsys, monkeypatch):
         import io

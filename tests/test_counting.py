@@ -79,27 +79,35 @@ class TestEnumerate:
 
     def test_star_two_sets(self):
         assert brute_maximal_sets(star(5)) == [frozenset({0}), frozenset({1, 2, 3, 4})]
-        assert _clique_walk(star(5)) == (2, 4)
+        assert _clique_walk(star(5), 0b11111) == (2, 4)
 
     def test_c4_two_sets(self):
         assert brute_maximal_sets(cycle(4)) == [frozenset({0, 2}), frozenset({1, 3})]
-        assert _clique_walk(cycle(4)) == (2, 2)
+        assert _clique_walk(cycle(4), 0b1111) == (2, 2)
 
     def test_edgeless(self):
         assert brute_maximal_sets(make_graph(3, [])) == [frozenset({0, 1, 2})]
-        assert _clique_walk(make_graph(3, [])) == (1, 3)
+        assert _clique_walk(make_graph(3, []), 0b111) == (1, 3)
 
     def test_null(self):
         assert brute_maximal_sets(make_graph(0, [])) == [frozenset()]
-        assert _clique_walk(make_graph(0, [])) == (1, 0)
+        assert _clique_walk(make_graph(0, []), 0) == (1, 0)
 
     def test_cycles_match_the_recurrence(self):
         for n in range(3, 31):
-            assert _clique_walk(cycle(n)) == (mis_count_cycle(n), n // 2)
+            assert _clique_walk(cycle(n), (1 << n) - 1) == (mis_count_cycle(n), n // 2)
 
     @given(graphs(max_n=9))
     def test_walk_matches_brute_force(self, g):
-        assert _clique_walk(g) == (mis_count_bruteforce(g), brute_alpha(g))
+        assert _clique_walk(g, (1 << g.order) - 1) == (mis_count_bruteforce(g), brute_alpha(g))
+
+    @given(graphs(max_n=9), st.data())
+    def test_walk_of_a_mask_is_the_induced_subgraph(self, g, data):
+        # the walk reads the vertices in mask in g's own labels; the
+        # oracle relabels the induced subgraph and counts its subsets
+        mask = data.draw(st.integers(0, (1 << g.order) - 1))
+        sub = delete_vertices(g, [v for v in range(g.order) if not mask >> v & 1])
+        assert _clique_walk(g, mask) == (mis_count_bruteforce(sub), brute_alpha(sub))
 
 
 class TestForestCount:
@@ -193,7 +201,7 @@ class TestDispatcher:
     def test_oracle_equivalence(self, g):
         want = mis_count_bruteforce(g), brute_alpha(g)
         assert (mis_count(g), independence_number(g)) == want
-        assert _clique_walk(g) == want
+        assert _clique_walk(g, (1 << g.order) - 1) == want
 
     def test_other_component_stores_no_sets(self):
         """A hub joined to 8 disjoint triangles has 3^8 + 1 maximal sets;
@@ -231,12 +239,12 @@ class TestOracleEquivalenceFullScale:
             for t in free_trees(n):
                 want = mis_count_bruteforce(t)
                 assert mis_count(t) == want
-                assert _clique_walk(t) == (want, independence_number(t))
+                assert _clique_walk(t, (1 << t.order) - 1) == (want, independence_number(t))
         for n in range(3, 13):
             for g in unicyclic_graphs(n):
                 want = mis_count_bruteforce(g)
                 assert mis_count(g) == want
-                assert _clique_walk(g) == (want, independence_number(g))
+                assert _clique_walk(g, (1 << g.order) - 1) == (want, independence_number(g))
 
 
 class TestSupportVertexOracle:
@@ -250,7 +258,7 @@ class TestSupportVertexOracle:
         assert len(cases) == 987 + 1040
         for g in cases:
             assert mis_count(g) == support_vertex_mis_count(g)
-            assert independence_number(g) == _clique_walk(g)[1]
+            assert independence_number(g) == _clique_walk(g, (1 << g.order) - 1)[1]
 
     def test_components_multiply(self):
         g = make_graph(9, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 3), (6, 7)])
@@ -364,7 +372,7 @@ class TestPinnedRoute:
         for n in orders:
             g = _tree_plus_edges(rng, n, extra)
             want = TestNetworkxCrossCheck._nx_mis_alpha(g)
-            assert _pinned_mis_alpha(g)[1] == _clique_walk(g) == want
+            assert _pinned_mis_alpha(g)[1] == _clique_walk(g, (1 << g.order) - 1) == want
             assert (mis_count(g), independence_number(g)) == want
 
     @given(trees_with_extra_edges(max_n=11, max_extra=4))
@@ -397,12 +405,12 @@ class TestPinnedRoute:
         and agrees with the walk, which shares no code with it."""
         g = _chorded_cycle_46()
         assert _pinned_mis_alpha(g)[1] == (299815, 23)
-        assert mis_alpha(g) == _clique_walk(g) == (299815, 23)
+        assert mis_alpha(g) == _clique_walk(g, (1 << g.order) - 1) == (299815, 23)
 
     def test_grown_cap_takes_the_pinned_route(self, monkeypatch):
         import misbounds.counting as counting
 
-        def no_walk(c):
+        def no_walk(g, mask):
             raise AssertionError("took the clique walk")
 
         monkeypatch.setattr(counting, "_clique_walk", no_walk)
@@ -419,7 +427,7 @@ class TestPinnedRoute:
         g = _star_with_leaf_edges(n, k)
         want = (2**k + 1, n - 1 - k)
         assert (_pinned_mis_alpha(g)[1] is not None) == pinned
-        assert mis_alpha(g) == _clique_walk(g) == want
+        assert mis_alpha(g) == _clique_walk(g, (1 << g.order) - 1) == want
 
     @pytest.mark.parametrize("g", [_star_with_leaf_edges(32, 6), _seeded_tree_32_plus_6()],
                              ids=["star", "pruefer"])
@@ -429,10 +437,10 @@ class TestPinnedRoute:
         of W, one pinned run each, are not (at most 3^6 = 729)."""
         import misbounds.counting as counting
 
-        want = _clique_walk(g)
+        want = _clique_walk(g, (1 << g.order) - 1)
         assert _pinned_mis_alpha(g)[1] == want
 
-        def no_walk(c):
+        def no_walk(g, mask):
             raise AssertionError("took the clique walk")
 
         monkeypatch.setattr(counting, "_clique_walk", no_walk)
@@ -504,14 +512,15 @@ class TestOneBfsRoute:
     def test_dense_component_takes_the_walk(self, monkeypatch):
         """The star of order 13 with six edges between its leaves has
         more independent sets of co-tree endpoints than the cap allows,
-        so it alone is relabelled and walked."""
+        so it alone is walked."""
         import random
 
         import misbounds.counting as counting
 
         walked = []
         walk = counting._clique_walk
-        monkeypatch.setattr(counting, "_clique_walk", lambda c: walked.append(c.order) or walk(c))
+        monkeypatch.setattr(counting, "_clique_walk",
+                            lambda g, mask: walked.append(mask.bit_count()) or walk(g, mask))
         g = _interleaved(random.Random(9300), 20, True)
         assert len(split_components(g)) == 4
         assert mis_alpha(g) == (mis_count_bruteforce(g), brute_alpha(g))

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,8 +15,6 @@ from misbounds.generate import forests, free_trees, unicyclic_graphs
 from misbounds.graphs import (
     Graph,
     _component_masks,
-    _encode,
-    _pack_graph6,
     _refine,
     _single_path,
     canonical_form,
@@ -27,6 +29,8 @@ from misbounds.graphs import (
 from conftest import graphs, labeled_forests, trees_with_extra_edges
 from oracle_helpers import (
     _CanonSearch,
+    _encode,
+    _pack_graph6,
     brute_canonical,
     delete_vertices,
     find_support_reduction,
@@ -301,6 +305,26 @@ class TestGraph6:
     def test_long_path_writes_bit_by_bit_string(self):
         assert write_graph6(path(3000)) == self._path_graph6_bitwise(3000)
 
+    def test_order_above_the_size_forms_refused_before_allocating(self):
+        # Order 258048 would need a 5.5 GB buffer; the child's address
+        # space is capped at 1 GiB, so only a refusal made before the
+        # buffer is allocated prints ValueError.
+        code = (
+            "import resource\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from misbounds.graphs import make_graph, write_graph6\n"
+            "try:\n"
+            "    write_graph6(make_graph(258048, []))\n"
+            "except Exception as exc:\n"
+            "    print(type(exc).__name__)\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout) == (0, "ValueError\n"), proc.stderr
+
 
 class TestDot:
     def test_single_edge(self):
@@ -319,6 +343,13 @@ class TestDot:
     @given(graphs(max_n=9))
     def test_dot_round_trip(self, g):
         assert parse_dot(to_dot(g)) == g
+
+    def test_vertex_numbers_stop_below_the_graph6_order_limit(self):
+        assert parse_dot("graph { 258046 }").order == 258047
+        assert parse_dot("graph { 007 -- 0 }") == make_graph(8, [(0, 7)])
+        for text in ("graph { 258047 }", "graph { 0 -- 1000000000000 }", "9" * 5000):
+            with pytest.raises(ValueError, match="below 258047"):
+                parse_dot(text)
 
 
 class TestCanonicalForm:
@@ -419,10 +450,11 @@ class TestCanonicalForm:
 
 
 class TestGraph6Packing:
-    """canonical_form packs an _encode bitstring into graph6 itself. The
-    bytes must be write_graph6 of the graph relabeled the same way. From
-    order 2 to 20 the bit count n(n-1)/2 is 0, 1, 3 and 4 mod 6, so every
-    padding length the orders reach is checked."""
+    """The oracle's search packs an _encode bitstring into graph6 itself.
+    The bytes must be write_graph6 of the graph relabeled the same way,
+    as canonical_form writes them. From order 2 to 20 the bit count
+    n(n-1)/2 is 0, 1, 3 and 4 mod 6, so every padding length the orders
+    reach is checked."""
 
     def test_matches_write_graph6_of_the_relabeled_graph(self):
         import random
@@ -530,7 +562,7 @@ class TestSinglePath:
                 rng.shuffle(perm)
                 minimum = _CanonSearch(g).run()  # the same for every labeling
                 for h in (g, permute(g, perm)):
-                    assert _single_path(h.adj, n) == minimum, write_graph6(h)
+                    assert _encode(h.adj, _single_path(h.adj, n)) == minimum, write_graph6(h)
 
 
 class TestForestSinglePath:
@@ -552,4 +584,4 @@ class TestForestSinglePath:
                 rng.shuffle(perm)
                 for h in (g, permute(g, perm)):
                     expected = single_path_reference(h.adj, n)
-                    assert _single_path(h.adj, n) == expected, write_graph6(h)
+                    assert _encode(h.adj, _single_path(h.adj, n)) == expected, write_graph6(h)
