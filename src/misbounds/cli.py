@@ -24,7 +24,7 @@ from .bounds import (
 from .counting import independence_number, mis_count
 from .extremal import ExtremalSpec, build_family, predicted_mis
 from .generate import GenerationTask, task_stream
-from .graphs import classify, parse_dot, parse_graph6, to_dot, write_graph6
+from .graphs import classify, graph6_blocks, parse_dot, parse_graph6, to_dot, write_graph6
 from .verify import (
     export_certificates,
     verify_claim1,
@@ -193,7 +193,9 @@ def _cmd_convert(args) -> int:
             text = fh.read()
     else:
         text = sys.stdin.read()
-    print(write_graph6(parse_dot(text)))
+    for piece in graph6_blocks(parse_dot(text)):  # one block of the body at a time
+        sys.stdout.write(piece)
+    sys.stdout.write("\n")
     return 0
 
 

@@ -19,14 +19,14 @@ time through _adopt.
 
 shape_mis_alpha counts a generator shape (trees, forests, unicyclic
 graphs) without building its graph. It reads each rooted code's root
-state from _code_state, a cache keyed by (code, pin): at most four
-entries per code in the rooted table (misbounds.rooted). All
+state from four lists indexed by code, one per starting state (free
+and the three pins), which grow in code order whenever the rooted
+table (misbounds.rooted) has grown. Apart from those tables the
 functions are pure, and none stores a maximal set.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Iterable, Optional
 
 from .graphs import Graph, _bits
@@ -181,13 +181,15 @@ def _root_mis_alpha(state: State) -> tuple[int, int]:
 
 def shape_mis_alpha(graph_class: str, shape: tuple) -> tuple[int, int]:
     """(mis, alpha) of the graph that generate builds from `shape`, folded
-    from cached per-code states without building it.
+    from per-code root states without building it.
 
     A tree folds its root's children; a forest multiplies its trees'
     counts and adds their alphas; a unicyclic graph sums the three runs of
     _pinned_mis_alpha along its cycle, with the edge from the last cycle
     vertex back to the first as the co-tree edge.
     """
+    if len(_FREE_STATES) < len(_CHILDREN):
+        _grow_code_states()
     if graph_class == "tree":
         return _root_mis_alpha(_tree_state(shape))
     if graph_class == "forest":
@@ -202,38 +204,56 @@ def shape_mis_alpha(graph_class: str, shape: tuple) -> tuple[int, int]:
     raise ValueError(f"unknown graph class {graph_class!r}")
 
 
+# The root state of each code of the rooted table (misbounds.rooted)
+# started from each pin a shape gives it: _CODE_STATES[i][code] starts
+# from _PINS[i]. _grow_code_states extends the four lists in code order
+# whenever the rooted table has grown.
+_PINS = (_FREE, _S_IN, _COVERED, _S_OUT)
+_CODE_STATES: tuple[list[State], ...] = ([], [], [], [])
+_FREE_STATES, _IN_STATES, _COVERED_STATES, _OUT_STATES = _CODE_STATES
+# (first, last) tables of the three runs around a cycle, as in
+# _pinned_mis_alpha: neither end of the co-tree edge in S, each to be
+# dominated inside the tree, or one end in S and the other dominated by it.
+_CYCLE_RUNS = (
+    (_OUT_STATES, _OUT_STATES),
+    (_IN_STATES, _COVERED_STATES),
+    (_COVERED_STATES, _IN_STATES),
+)
+
+
+def _grow_code_states() -> None:
+    """Append the states of every code past the tables' end; a code's
+    children come before it, so their free states are already there."""
+    for code in range(len(_FREE_STATES), len(_CHILDREN)):
+        children = _CHILDREN[code]
+        for pin, table in zip(_PINS, _CODE_STATES):
+            state = pin
+            for child in children:
+                state = _adopt(state, _FREE_STATES[child])
+            table.append(state)
+
+
 def _tree_state(shape: tuple) -> State:
     """Root state of a tree shape: (centroid's child codes,) or two half
     codes whose roots are joined."""
     if len(shape) == 2:
-        return _adopt(_code_state(shape[0], _FREE), _code_state(shape[1], _FREE))
-    return _fold(_FREE, shape[0])
+        return _adopt(_FREE_STATES[shape[0]], _FREE_STATES[shape[1]])
+    state = _FREE
+    for child in shape[0]:
+        state = _adopt(state, _FREE_STATES[child])
+    return state
 
 
 def _cycle_mis_alpha(seq: tuple) -> tuple[int, int]:
     """Cycle vertex i carries rooted code seq[i]; the spanning tree is the
     path 0..c-1 rooted at 0, and the pins go on 0 and c-1."""
-    mids = [_code_state(code, _FREE) for code in seq[-2:0:-1]]
+    mids = [_FREE_STATES[code] for code in seq[-2:0:-1]]
     mis = alpha = 0
-    for first, last in ((_S_OUT, _S_OUT), (_S_IN, _COVERED), (_COVERED, _S_IN)):
-        state = _code_state(seq[-1], last)
+    for first, last in _CYCLE_RUNS:
+        state = last[seq[-1]]
         for mid in mids:
             state = _adopt(mid, state)
-        m, a = _root_mis_alpha(_adopt(_code_state(seq[0], first), state))
+        m, a = _root_mis_alpha(_adopt(first[seq[0]], state))
         mis += m
         alpha = max(alpha, a)
     return mis, alpha
-
-
-@lru_cache(maxsize=None)
-def _code_state(code: int, pin: State) -> State:
-    """Root state of a rooted code started from `pin`. Shapes reach it
-    only with codes in the rooted table and with four pins, so it holds
-    at most four states per code there."""
-    return _fold(pin, _CHILDREN[code])
-
-
-def _fold(state: State, children: tuple[int, ...]) -> State:
-    for child in children:
-        state = _adopt(state, _code_state(child, _FREE))
-    return state

@@ -144,30 +144,43 @@ def unicyclic_graphs(n: int, unsafe: bool = False, cycle: Optional[int] = None) 
 
 def _necklace_sequences(n: int, c: int) -> Iterator[tuple[int, ...]]:
     """Length-c sequences of rooted codes, sizes >= 1 summing to n,
-    canonical (maximal) under rotation and reflection."""
+    canonical (maximal) under rotation and reflection, descending.
 
-    def extend(seq: tuple[int, ...], used: int) -> Iterator[tuple[int, ...]]:
-        left = n - used
-        if len(seq) == c - 1:  # the last code takes exactly the vertices left
-            for code in range(min(seq[0], _FIRST[left + 1] - 1), _FIRST[left] - 1, -1):
-                cand = seq + (code,)
-                if _is_necklace_canonical(cand):
-                    yield cand
+    The recursion builds only prefixes of sequences that are maximal
+    among their rotations (max-prenecklaces) and tracks the period p of
+    the prefix: the code at position t is at most the one at t - p; an
+    equal code keeps p and a smaller one makes the period t + 1. A full
+    sequence is maximal among its rotations exactly when p divides c
+    (Fredricksen, Kessler and Maiorana; Ruskey, Savage and Wang,
+    J. Algorithms 13, 1992), so only its reflections are left to
+    compare. Sizes only prune branches that cannot sum to n, so the
+    sequences come in the order of the unpruned recursion, descending.
+    """
+
+    def extend(seq: tuple[int, ...], used: int, p: int) -> Iterator[tuple[int, ...]]:
+        t, left = len(seq), n - used
+        top = seq[t - p]
+        if t == c - 1:  # the last code takes exactly the vertices left
+            for code in range(min(top, _FIRST[left + 1] - 1), _FIRST[left] - 1, -1):
+                if code < top or c % p == 0:
+                    cand = seq + (code,)
+                    if _beats_reflections(cand):
+                        yield cand
             return
-        max_here = left - (c - len(seq) - 1)
-        for code in range(min(seq[0], _FIRST[max_here + 1] - 1), -1, -1):
-            yield from extend(seq + (code,), used + _SIZE[code])
+        max_here = left - (c - t - 1)
+        for code in range(min(top, _FIRST[max_here + 1] - 1), -1, -1):
+            yield from extend(seq + (code,), used + _SIZE[code], p if code == top else t + 1)
 
     for first in range(last_code(n - c + 1), -1, -1):
-        yield from extend((first,), _SIZE[first])
+        yield from extend((first,), _SIZE[first], 1)
 
 
-def _is_necklace_canonical(seq: tuple[int, ...]) -> bool:
+def _beats_reflections(seq: tuple[int, ...]) -> bool:
+    """Whether seq is at least every rotation of its reverse."""
     c = len(seq)
-    doubled = seq + seq
     rev = seq[::-1] * 2
     for s in range(c):
-        if doubled[s : s + c] > seq or rev[s : s + c] > seq:
+        if rev[s : s + c] > seq:
             return False
     return True
 

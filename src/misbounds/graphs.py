@@ -50,7 +50,7 @@ class Graph(NamedTuple):
 
     @property
     def edge_count(self) -> int:
-        return sum(self.adj[v].bit_count() for v in range(self.order)) // 2
+        return sum(map(int.bit_count, self.adj)) // 2
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Graph(order={self.order}, edges={self.edges()})"
@@ -103,8 +103,10 @@ def _component_masks(g: Graph) -> Iterator[int]:
         comp = frontier = rest & -rest
         while frontier:
             nxt = 0
-            for v in _bits(frontier):
-                nxt |= g.adj[v]
+            while frontier:
+                low = frontier & -frontier
+                nxt |= g.adj[low.bit_length() - 1]
+                frontier ^= low
             frontier = nxt & ~comp
             comp |= nxt
         rest &= ~comp
@@ -179,6 +181,7 @@ _G6_OUT_OF_RANGE = re.compile(r"[^?-~]")
 _G6_NONZERO = re.compile(r"[^?]")
 _G6_ADD_63 = bytes(range(63, 127)).ljust(256, b"?")  # six data bits -> character
 _G6_MAX_ORDER = 258047  # the largest order the one- and four-byte size forms hold
+_G6_BLOCK_BITS = 6 << 20  # the most bits in one body block of graph6_blocks
 
 
 def _g6_size_prefix(n: int) -> str:
@@ -189,21 +192,42 @@ def _g6_size_prefix(n: int) -> str:
     raise ValueError(f"order {n} too large for supported graph6 size forms")
 
 
-def write_graph6(g: Graph) -> str:
-    """Encode as graph6 text (one-byte size for n <= 62, 4-byte above).
+def graph6_blocks(g: Graph) -> Iterator[str]:
+    """graph6 text of g in pieces: the size prefix, then the body in
+    blocks of whole columns, each about a million characters at most.
+    Joined they are write_graph6(g); written one at a time they hold one
+    block in memory. An order too large for the size forms is refused
+    before the first piece.
 
-    Only the edge bits are set in a zeroed buffer, so a sparse graph is
-    written in time linear in the string. An order too large for the
-    size forms is refused before the buffer is made.
+    Column j holds bits j(j-1)/2 .. j(j+1)/2 - 1, one per pair i < j,
+    and begins on a character when j is 1 or a multiple of 12, where
+    every block but the first starts. Only the edge bits are set in a
+    zeroed buffer, so a sparse graph is written in time linear in the
+    string.
     """
     n = g.order
-    prefix = _g6_size_prefix(n)
-    vals = bytearray((n * (n - 1) // 2 + 5) // 6)
-    for j in range(1, n):
-        for i in _bits(g.adj[j] & ((1 << j) - 1)):
-            k = j * (j - 1) // 2 + i  # bit k is the pair i < j
-            vals[k // 6] |= 32 >> k % 6
-    return prefix + vals.translate(_G6_ADD_63).decode("ascii")
+    yield _g6_size_prefix(n)
+    start = 1
+    while start < n:
+        stop = min(n, max(start + 12, isqrt(start * start + 2 * _G6_BLOCK_BITS)) // 12 * 12)
+        base = start * (start - 1) // 2
+        vals = bytearray((stop * (stop - 1) // 2 - base + 5) // 6)
+        for j in range(start, stop):
+            first = j * (j - 1) // 2 - base  # bit first + i is the pair i < j
+            m = g.adj[j] & ((1 << j) - 1)
+            while m:
+                low = m & -m
+                k = first + low.bit_length() - 1
+                vals[k // 6] |= 32 >> k % 6
+                m ^= low
+        yield vals.translate(_G6_ADD_63).decode("ascii")
+        start = stop
+
+
+def write_graph6(g: Graph) -> str:
+    """Encode as graph6 text (one-byte size for n <= 62, 4-byte above):
+    the pieces of graph6_blocks, joined."""
+    return "".join(graph6_blocks(g))
 
 
 def parse_graph6(text: str) -> Graph:
@@ -320,32 +344,71 @@ def _refine(
     and so does every cell of a finer partition: while it is still a cell
     it splits nothing. Such cells' masks are kept in `inert` and skipped.
     The set is returned with the cells and then holds every cell's mask.
+
+    A splitter's neighbours are met cell by cell, and the walk stops once
+    none is left outside singletons, which never split. A new cell list
+    is built only when some cell splits, and the next splitter is sought
+    from the first cell that may have changed.
     """
     inert = set(inert)
+    multi = 0  # the vertices in cells of two or more
+    for cell in cells:
+        if cell & (cell - 1):
+            multi |= cell
+    start = 0  # every cell before it is inert and unchanged since it was a splitter
     while True:
-        for smask in cells:
+        for s in range(start, len(cells)):
+            smask = cells[s]
             if smask in inert:
                 continue
             inert.add(smask)
             single = not smask & (smask - 1)
-            reach = 0
-            for v in _bits(smask):
-                reach |= adj[v]
-            new_cells: list[int] = []
-            for cell in cells:
-                hit = cell & reach
-                if not hit or not cell & (cell - 1) or single and hit == cell:
-                    new_cells.append(cell)
-                elif single:  # the counts are 0 and 1
-                    new_cells += (cell ^ hit, hit)
-                else:
-                    groups = {0: cell ^ hit} if hit != cell else {}
-                    for v in _bits(hit):
-                        key = (adj[v] & smask).bit_count()
-                        groups[key] = groups.get(key, 0) | 1 << v
-                    new_cells += (groups[key] for key in sorted(groups))
-            if len(new_cells) > len(cells):
+            if single:
+                reach = adj[smask.bit_length() - 1] if smask else 0
+            else:
+                reach = 0
+                m = smask
+                while m:
+                    low = m & -m
+                    reach |= adj[low.bit_length() - 1]
+                    m ^= low
+            todo = reach & multi  # the neighbours not yet met outside singletons
+            if not todo:
+                continue
+            splits = []  # (position, subcells) of each cell that splits
+            for i, cell in enumerate(cells):
+                if not todo:
+                    break
+                hit = cell & todo
+                if not hit:
+                    continue
+                todo ^= hit
+                if single:  # the counts are 0 and 1
+                    if hit != cell:
+                        splits.append((i, (cell ^ hit, hit)))
+                    continue
+                groups = {0: cell ^ hit} if hit != cell else {}
+                m = hit
+                while m:
+                    low = m & -m
+                    key = (adj[low.bit_length() - 1] & smask).bit_count()
+                    groups[key] = groups.get(key, 0) | low
+                    m ^= low
+                if len(groups) > 1:
+                    splits.append((i, [groups[key] for key in sorted(groups)]))
+            if splits:
+                new_cells: list[int] = []
+                done = 0
+                for i, parts in splits:
+                    new_cells += cells[done:i]
+                    new_cells += parts
+                    done = i + 1
+                    for part in parts:
+                        if not part & (part - 1):
+                            multi ^= part
+                new_cells += cells[done:]
                 cells = new_cells
+                start = min(s + 1, splits[0][0])
                 break
         else:
             return cells, inert
@@ -370,18 +433,27 @@ def _single_path(adj: tuple[int, ...], n: int) -> list[int]:
     the vertex-by-vertex loop would reach the same partition.
     """
     cells, inert = [(1 << n) - 1] if n else [], set()
+    k = 0  # cells before k are singletons, which refinement leaves in place
     while True:
         cells, inert = _refine(adj, cells, inert)
-        k = next((i for i, cell in enumerate(cells) if cell & (cell - 1)), None)
-        if k is None:
+        while k < len(cells) and not cells[k] & (cells[k] - 1):
+            k += 1
+        if k == len(cells):
             return [cell.bit_length() - 1 for cell in cells]
         cell = cells[k]
         low = cell & -cell
-        if all(adj[v] == adj[low.bit_length() - 1] for v in _bits(cell)):
-            split = [1 << v for v in _bits(cell)]
-            inert.update(split)
+        row = adj[low.bit_length() - 1]
+        split = []
+        m = cell
+        while m:
+            bit = m & -m
+            if adj[bit.bit_length() - 1] != row:
+                split = [low, cell ^ low]
+                break
+            split.append(bit)
+            m ^= bit
         else:
-            split = [low, cell ^ low]
+            inert.update(split)
         cells[k : k + 1] = split
 
 
@@ -416,7 +488,17 @@ def canonical_form(g: Graph) -> bytes:
     rank = g.edge_count - n + sum(1 for _ in _component_masks(g))
     if rank > 1:
         raise ValueError(f"canonical_form needs at most one cycle, got cycle rank {rank}")
+    adj = g.adj
+    lab = _single_path(adj, n)
     pos = [0] * n  # pos[v] is v's label on the single path
-    for i, v in enumerate(_single_path(g.adj, n)):
+    for i, v in enumerate(lab):
         pos[v] = i
-    return write_graph6(make_graph(n, ((pos[u], pos[v]) for u, v in g.edges()))).encode("ascii")
+    rows = []  # rows[i] is the neighbour mask of label i, in labels
+    for v in lab:
+        row, m = 0, adj[v]
+        while m:
+            low = m & -m
+            row |= 1 << pos[low.bit_length() - 1]
+            m ^= low
+        rows.append(row)
+    return write_graph6(Graph(n, tuple(rows))).encode("ascii")

@@ -4,14 +4,17 @@ Everything here is deliberately naive: subset loops (one vectorized
 with numpy, one in plain Python), the paper's support-vertex recursion,
 the Perrin-type cycle recurrence, a depth-first component split,
 permutation sweeps, the partition refinement as it was before inert
-splitters, the single canonical path before twin cells were split in
-one step, the backtracking canonical search (`_CanonSearch`, with twin
-classes and automorphism pruning) that the single path replaced in
-the package and that still takes any graph, the upper-triangle encoder
-and graph6 packer that search compares and writes its candidates with
-(`_encode`, `_pack_graph6`; the package writes graph6 only through
-`write_graph6`), rooted trees as nested tuples, Pruefer decoding,
-levelwise labeled growth with canonical dedup, lemma 2's sampling loop
+splitters, the inert-splitter refinement as it was before its masks
+were walked inline (`_refine`), the single canonical path before twin
+cells were split in one step, the backtracking canonical search
+(`_CanonSearch`, with twin classes and automorphism pruning) that the
+single path replaced in the package and that still takes any graph,
+the upper-triangle encoder and graph6 packer that search compares and
+writes its candidates with (`_encode`, `_pack_graph6`; the package
+writes graph6 only through `write_graph6`), rooted trees as nested
+tuples, the unicyclic necklaces filtered by comparing every rotation
+and reflection, Pruefer decoding, levelwise labeled growth with
+canonical dedup, lemma 2's sampling loop
 drawn one randrange at a time, and the majorization order lemma 2 is
 stated in. None of it shares algorithms
 with the package's counting routes, and the package itself does not
@@ -33,12 +36,12 @@ from misbounds.graphs import (
     Graph,
     _bits,
     _g6_size_prefix,
-    _refine,
     canonical_form,
     classify,
     make_graph,
     write_graph6,
 )
+from misbounds.rooted import _FIRST, _SIZE, last_code
 
 BRUTEFORCE_LIMIT = 25
 _BRUTE_CHUNK = 1 << 20
@@ -334,6 +337,56 @@ def refine_reference(adj: tuple[int, ...], cells: list[list[int]]) -> list[list[
             return cells
 
 
+# The package's refinement as it was before it walked its masks inline,
+# stopped at the last hit and resumed after the last split; the search
+# and the vertex-by-vertex single path below refine with it.
+def _refine(
+    adj: tuple[int, ...], cells: list[int], inert: set[int]
+) -> tuple[list[int], set[int]]:
+    """Refine an ordered partition, one vertex mask per cell, to an
+    equitable one.
+
+    Repeatedly splits every cell by neighbor counts into the first cell
+    that splits anything; subcells inherit position and are ordered by
+    count. A cell holding no neighbor of the splitter has one count and
+    is passed over. The result depends only on the partition structure,
+    not on vertex labels, so isomorphic inputs refine in lockstep.
+
+    Once a cell has been the splitter, every cell has one count into it,
+    and so does every cell of a finer partition: while it is still a cell
+    it splits nothing. Such cells' masks are kept in `inert` and skipped.
+    The set is returned with the cells and then holds every cell's mask.
+    """
+    inert = set(inert)
+    while True:
+        for smask in cells:
+            if smask in inert:
+                continue
+            inert.add(smask)
+            single = not smask & (smask - 1)
+            reach = 0
+            for v in _bits(smask):
+                reach |= adj[v]
+            new_cells: list[int] = []
+            for cell in cells:
+                hit = cell & reach
+                if not hit or not cell & (cell - 1) or single and hit == cell:
+                    new_cells.append(cell)
+                elif single:  # the counts are 0 and 1
+                    new_cells += (cell ^ hit, hit)
+                else:
+                    groups = {0: cell ^ hit} if hit != cell else {}
+                    for v in _bits(hit):
+                        key = (adj[v] & smask).bit_count()
+                        groups[key] = groups.get(key, 0) | 1 << v
+                    new_cells += (groups[key] for key in sorted(groups))
+            if len(new_cells) > len(cells):
+                cells = new_cells
+                break
+        else:
+            return cells, inert
+
+
 def _encode(adj: tuple[int, ...], lab: list[int]) -> int:
     """Upper-triangle column-order bitstring of the relabeled graph,
     packed into an int with the first bit most significant. That is
@@ -506,6 +559,37 @@ def _nested_child_multisets(total: int, max_size: int, bound: Optional[tuple]):
                 continue
             for rest in _nested_child_multisets(total - size, max_size, code):
                 yield (code,) + rest
+
+
+def necklace_sequences_reference(n: int, c: int):
+    """The unicyclic generator's necklaces before it tracked the period:
+    every code at most the first, and each full sequence compared with
+    all its rotations and reflections (_is_necklace_canonical)."""
+
+    def extend(seq: tuple[int, ...], used: int):
+        left = n - used
+        if len(seq) == c - 1:  # the last code takes exactly the vertices left
+            for code in range(min(seq[0], _FIRST[left + 1] - 1), _FIRST[left] - 1, -1):
+                cand = seq + (code,)
+                if _is_necklace_canonical(cand):
+                    yield cand
+            return
+        max_here = left - (c - len(seq) - 1)
+        for code in range(min(seq[0], _FIRST[max_here + 1] - 1), -1, -1):
+            yield from extend(seq + (code,), used + _SIZE[code])
+
+    for first in range(last_code(n - c + 1), -1, -1):
+        yield from extend((first,), _SIZE[first])
+
+
+def _is_necklace_canonical(seq: tuple[int, ...]) -> bool:
+    c = len(seq)
+    doubled = seq + seq
+    rev = seq[::-1] * 2
+    for s in range(c):
+        if doubled[s : s + c] > seq or rev[s : s + c] > seq:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

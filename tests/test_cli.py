@@ -316,6 +316,37 @@ class TestLemmasConvert:
         assert (code, out) == (2, "")
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
+    def test_convert_to_graph6_writes_the_body_in_blocks(self, tmp_path):
+        # Order 20,000 has a 31.8 MB body of 33,331,667 characters, all
+        # "?" with no edge. Written block by block, the child stays far
+        # below one copy of the body on top of the interpreter; building
+        # the whole line first peaked at 110 MB. A small interpreter
+        # launches it and reads its ru_maxrss (KiB on Linux), because a
+        # process's peak counts its parent's size when it forked.
+        launcher = (
+            "import os, subprocess, sys\n"
+            "with open(sys.argv[1], 'wb') as out:\n"
+            "    proc = subprocess.Popen([sys.executable, '-m', 'misbounds.cli', 'convert',\n"
+            "                             '--to', 'graph6'], stdin=subprocess.PIPE, stdout=out)\n"
+            "    proc.stdin.write(b'graph { 19999 }')\n"
+            "    proc.stdin.close()\n"
+            "    _, status, usage = os.wait4(proc.pid, 0)\n"
+            "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        out = tmp_path / "g6.txt"
+        proc = subprocess.run([sys.executable, "-c", launcher, str(out)], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        status, peak_kib = map(int, proc.stdout.split())
+        assert status == 0 and peak_kib < 64 * 1024
+        data = out.read_bytes()
+        assert data[:4] == ("~" + "".join(chr(63 + (20000 >> s & 63)) for s in (12, 6, 0))).encode()
+        assert len(data) == 4 + 33_331_667 + 1 and data[-1:] == b"\n"
+        assert not data[4:-1].strip(b"?")
+
     def test_convert_to_graph6_refuses_other_statements(self, capsys, monkeypatch):
         import io
 

@@ -643,3 +643,53 @@ class TestShapeRoute:
     def test_unknown_class(self):
         with pytest.raises(ValueError):
             shape_mis_alpha("graph", ((),))
+
+    def test_state_tables_grow_with_the_rooted_table(self):
+        # In a fresh interpreter the first count fills the state tables
+        # while the rooted table holds trees of order 2 at most. The tree
+        # stream of order 14 grows it to order 7 and the unicyclic stream
+        # of order 12 to order 10, between counts; enumerate then filters
+        # on alpha.
+        import json
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        code = """
+import io, json
+from contextlib import redirect_stdout
+from misbounds import cli
+from misbounds.counting import mis_alpha, shape_mis_alpha
+from misbounds.generate import shape_graph, tree_shapes, unicyclic_shapes
+from misbounds.graphs import parse_graph6
+from misbounds.rooted import _CHILDREN
+
+counted, wrong, codes = {}, [], []
+def check(cls, shapes):
+    for s in shapes:
+        counted[cls] = counted.get(cls, 0) + 1
+        if shape_mis_alpha(cls, s) != mis_alpha(shape_graph(cls, s)):
+            wrong.append(repr(s))
+    codes.append(len(_CHILDREN))
+check("tree", [next(tree_shapes(5))])
+check("tree", tree_shapes(14))
+check("unicyclic", unicyclic_shapes(12))
+with redirect_stdout(io.StringIO()) as out:
+    status = cli.main(["enumerate", "--class", "tree", "-n", "10", "--alpha", "6"])
+alphas = [mis_alpha(parse_graph6(line))[1] for line in out.getvalue().split()]
+print(json.dumps({"counted": counted, "wrong": wrong, "codes": codes,
+                  "status": status, "alphas": alphas}))
+"""
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        got = json.loads(proc.stdout)
+        assert got["counted"] == {"tree": 1 + 3159, "unicyclic": 5026}
+        assert got["wrong"] == []
+        assert got["codes"][0] < got["codes"][1] < got["codes"][2]
+        want = sum(1 for s in tree_shapes(10) if mis_alpha(tree_graph(s))[1] == 6)
+        assert got["status"] == 0 and got["alphas"] == [6] * want and want > 0

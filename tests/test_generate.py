@@ -11,6 +11,7 @@ from misbounds.generate import (
     TREE_LIMIT,
     UNICYCLIC_LIMIT,
     GenerationTask,
+    _necklace_sequences,
     forests,
     free_trees,
     task_stream,
@@ -27,6 +28,7 @@ from oracle_helpers import (
     labeled_forest_classes,
     labeled_tree_classes,
     labeled_unicyclic_classes,
+    necklace_sequences_reference,
     nested_rooted_codes,
 )
 
@@ -156,6 +158,15 @@ class TestUnicyclic:
         for n in range(3, 9):
             stream = {canonical_form(g) for g in unicyclic_graphs(n)}
             assert stream == levels[n], n
+
+    def test_necklaces_match_the_rotation_filter(self):
+        # the period-pruned recursion against the generator that compared
+        # every full sequence with all its rotations and reflections:
+        # the same necklaces in the same order, every cycle to order 14
+        for n in range(3, UNICYCLIC_LIMIT + 1):
+            for c in range(3, n + 1):
+                want = list(necklace_sequences_reference(n, c))
+                assert list(_necklace_sequences(n, c)) == want, (n, c)
 
     def test_every_cycle_length_appears(self):
         lengths = {len(classify(g).cycle) for g in unicyclic_graphs(7)}

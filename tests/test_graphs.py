@@ -19,6 +19,7 @@ from misbounds.graphs import (
     _single_path,
     canonical_form,
     classify,
+    graph6_blocks,
     make_graph,
     parse_dot,
     parse_graph6,
@@ -305,6 +306,22 @@ class TestGraph6:
     def test_long_path_writes_bit_by_bit_string(self):
         assert write_graph6(path(3000)) == self._path_graph6_bitwise(3000)
 
+    def test_blocks_join_to_the_graph_across_block_boundaries(self):
+        # Order 7000 takes four body blocks, which start at columns 1,
+        # 3540, 5004 and 6132; a path runs through every boundary column
+        # and random chords land in every block.
+        import random
+
+        rng = random.Random(6)
+        n = 7000
+        edges = [(j - 1, j) for j in range(1, n)]
+        edges += [tuple(sorted(rng.sample(range(n), 2))) for _ in range(3000)]
+        g = make_graph(n, edges)
+        pieces = list(graph6_blocks(g))
+        assert pieces[0] == "~" + "".join(chr(63 + (n >> s & 63)) for s in (12, 6, 0))
+        assert len(pieces) == 5
+        assert parse_graph6("".join(pieces)) == g
+
     def test_order_above_the_size_forms_refused_before_allocating(self):
         # Order 258048 would need a 5.5 GB buffer; the child's address
         # space is capped at 1 GiB, so only a refusal made before the
@@ -447,6 +464,24 @@ class TestCanonicalForm:
             form = canonical_form(g)
             assert canonical_form(permute(g, perm)) == form, (build.__name__, n, alpha)
             assert canonical_form(parse_graph6(form.decode())) == form
+
+
+    def test_forms_of_the_certify_streams_pinned(self):
+        # Every tree to 14, forest to 12 and unicyclic graph to 12 in
+        # stream order: the certificates' witnesses are among these forms,
+        # so a change to the refinement or the writer that moves any form
+        # shows here.
+        import hashlib
+
+        digest, count = hashlib.sha256(), 0
+        for stream, low, top in ((free_trees, 1, 14), (forests, 1, 12), (unicyclic_graphs, 3, 12)):
+            for n in range(low, top + 1):
+                for g in stream(n):
+                    digest.update(canonical_form(g))
+                    count += 1
+        assert count == 16_267
+        assert digest.hexdigest() == (
+            "bc9f96e18964923f0b163962856052959ce2d2b127a3817ef446aae0108fa4c2")
 
 
 class TestGraph6Packing:
