@@ -10,6 +10,7 @@ as one line on stderr, so that it never reads as a violation).
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 from typing import Iterator, Optional
@@ -116,12 +117,34 @@ def _default_jobs() -> int:
     return os.cpu_count() or 1
 
 
+def _check_writable(path: Optional[str]) -> None:
+    """Raise the OSError that opening `path` for writing would raise when
+    it is a directory, its directory is missing, or it cannot be written,
+    so that a run whose output has nowhere to go is refused before it
+    starts. Nothing is created."""
+    if not path:
+        return
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(parent):
+        code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+    elif not os.access(parent, os.W_OK) or (os.path.exists(path)
+                                            and not os.access(path, os.W_OK)):
+        code = errno.EACCES
+    else:
+        return
+    raise OSError(code, os.strerror(code), path)
+
+
 def _cmd_verify(args) -> int:
     jobs = args.jobs if args.jobs is not None else _default_jobs()
     if jobs < 1:
         raise UsageError(f"--jobs must be at least 1, got {jobs}")
     if args.all_witnesses and args.graph_class in ("claim1", "cycle"):
         raise UsageError(f"--all-witnesses applies to the class scans, not {args.graph_class}")
+    _check_writable(args.out)
+    _check_writable(args.all_witnesses)
     if args.graph_class in ("tree", "forest", "unicyclic"):
         runner = {
             "tree": verify_tree_theorem,
@@ -147,7 +170,7 @@ def _cmd_verify(args) -> int:
                         fh.write(f"{cls_name},{n},{alpha},{w}\n")
         return 1 if violations else 0
     if args.graph_class == "claim1":
-        report = verify_claim1(args.max_n)
+        report = verify_claim1(args.max_n, jobs=jobs)
         print(
             f"claim1 max_n={report.n_max} checked={report.graphs_checked} "
             f"violations={len(report.violations)}"
@@ -168,6 +191,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_lemmas(args) -> int:
+    _check_writable(args.out)
     sweeps = sweep_sequence_lemmas(args.limit, samples=args.samples, seed=args.seed)
     bad = 0
     for sweep in sweeps:

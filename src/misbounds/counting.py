@@ -13,9 +13,9 @@ code with them (tests/oracle_helpers.py):
 
 mis_alpha finds each component by the pinned route's BFS in the graph's
 own labels, and walks a component that takes the walk by its vertex
-mask in those labels; mis_count and independence_number read it. Both
-the tree pass and shape_mis_alpha grow a vertex's state one child at a
-time through _adopt.
+mask in those labels; mis_count and independence_number read it. The
+tree pass grows a vertex's state one child at a time through _adopt;
+shape_mis_alpha does the same steps with the states held in locals.
 
 shape_mis_alpha counts a generator shape (trees, forests, unicyclic
 graphs) without building its graph. It reads each rooted code's root
@@ -191,11 +191,11 @@ def shape_mis_alpha(graph_class: str, shape: tuple) -> tuple[int, int]:
     if len(_FREE_STATES) < len(_CHILDREN):
         _grow_code_states()
     if graph_class == "tree":
-        return _root_mis_alpha(_tree_state(shape))
+        return _tree_mis_alpha(shape)
     if graph_class == "forest":
         mis, alpha = 1, 0
         for tree in shape:
-            m, a = _root_mis_alpha(_tree_state(tree))
+            m, a = _tree_mis_alpha(tree)
             mis *= m
             alpha += a
         return mis, alpha
@@ -211,14 +211,6 @@ def shape_mis_alpha(graph_class: str, shape: tuple) -> tuple[int, int]:
 _PINS = (_FREE, _S_IN, _COVERED, _S_OUT)
 _CODE_STATES: tuple[list[State], ...] = ([], [], [], [])
 _FREE_STATES, _IN_STATES, _COVERED_STATES, _OUT_STATES = _CODE_STATES
-# (first, last) tables of the three runs around a cycle, as in
-# _pinned_mis_alpha: neither end of the co-tree edge in S, each to be
-# dominated inside the tree, or one end in S and the other dominated by it.
-_CYCLE_RUNS = (
-    (_OUT_STATES, _OUT_STATES),
-    (_IN_STATES, _COVERED_STATES),
-    (_COVERED_STATES, _IN_STATES),
-)
 
 
 def _grow_code_states() -> None:
@@ -233,27 +225,58 @@ def _grow_code_states() -> None:
             table.append(state)
 
 
-def _tree_state(shape: tuple) -> State:
-    """Root state of a tree shape: (centroid's child codes,) or two half
-    codes whose roots are joined."""
+def _tree_mis_alpha(shape: tuple) -> tuple[int, int]:
+    """(mis, alpha) of a tree shape: (centroid's child codes,) or two half
+    codes whose roots are joined. The centroid adopts its children as
+    _adopt does, with its state held in locals."""
     if len(shape) == 2:
-        return _adopt(_FREE_STATES[shape[0]], _FREE_STATES[shape[1]])
-    state = _FREE
+        return _root_mis_alpha(_adopt(_FREE_STATES[shape[0]], _FREE_STATES[shape[1]]))
+    in_s, out, bare, inc, exc = _FREE
     for child in shape[0]:
-        state = _adopt(state, _FREE_STATES[child])
-    return state
+        c_in, c_out, c_bare, c_inc, c_exc = _FREE_STATES[child]
+        dom = c_out - c_bare
+        in_s *= c_out
+        out *= c_in + dom
+        bare *= dom
+        inc += c_exc
+        exc += c_inc if c_inc > c_exc else c_exc
+    return in_s + out - bare, inc if inc > exc else exc
 
 
 def _cycle_mis_alpha(seq: tuple) -> tuple[int, int]:
     """Cycle vertex i carries rooted code seq[i]; the spanning tree is the
-    path 0..c-1 rooted at 0, and the pins go on 0 and c-1."""
-    mids = [_FREE_STATES[code] for code in seq[-2:0:-1]]
-    mis = alpha = 0
-    for first, last in _CYCLE_RUNS:
-        state = last[seq[-1]]
-        for mid in mids:
-            state = _adopt(mid, state)
-        m, a = _root_mis_alpha(_adopt(first[seq[0]], state))
-        mis += m
-        alpha = max(alpha, a)
+    path 0..c-1 rooted at 0, and the pins go on 0 and c-1.
+
+    The three runs of _pinned_mis_alpha move down the path together, each
+    vertex adopting the run's state below it as _adopt does: a, neither
+    end of the co-tree edge in S, each to be dominated inside the tree;
+    b, 0 in S and c-1 dominated by it; c, c-1 in S and 0 dominated by
+    it. The root's step adds each run's mis and alpha directly.
+    """
+    a_in, a_out, a_bare, a_inc, a_exc = _OUT_STATES[seq[-1]]
+    b_in, b_out, b_bare, b_inc, b_exc = _COVERED_STATES[seq[-1]]
+    c_in, c_out, c_bare, c_inc, c_exc = _IN_STATES[seq[-1]]
+    for code in seq[-2:0:-1]:
+        in_s, out, bare, inc, exc = _FREE_STATES[code]
+        dom = a_out - a_bare
+        a_in, a_out, a_bare = in_s * a_out, out * (a_in + dom), bare * dom
+        a_inc, a_exc = inc + a_exc, exc + (a_inc if a_inc > a_exc else a_exc)
+        dom = b_out - b_bare
+        b_in, b_out, b_bare = in_s * b_out, out * (b_in + dom), bare * dom
+        b_inc, b_exc = inc + b_exc, exc + (b_inc if b_inc > b_exc else b_exc)
+        dom = c_out - c_bare
+        c_in, c_out, c_bare = in_s * c_out, out * (c_in + dom), bare * dom
+        c_inc, c_exc = inc + c_exc, exc + (c_inc if c_inc > c_exc else c_exc)
+    in_s, out, bare, inc, exc = _OUT_STATES[seq[0]]
+    dom = a_out - a_bare
+    mis = in_s * a_out + out * (a_in + dom) - bare * dom
+    alpha = max(inc + a_exc, exc + (a_inc if a_inc > a_exc else a_exc))
+    in_s, out, bare, inc, exc = _IN_STATES[seq[0]]
+    dom = b_out - b_bare
+    mis += in_s * b_out + out * (b_in + dom) - bare * dom
+    alpha = max(alpha, inc + b_exc, exc + (b_inc if b_inc > b_exc else b_exc))
+    in_s, out, bare, inc, exc = _COVERED_STATES[seq[0]]
+    dom = c_out - c_bare
+    mis += in_s * c_out + out * (c_in + dom) - bare * dom
+    alpha = max(alpha, inc + c_exc, exc + (c_inc if c_inc > c_exc else c_exc))
     return mis, alpha

@@ -155,32 +155,51 @@ def _necklace_sequences(n: int, c: int) -> Iterator[tuple[int, ...]]:
     J. Algorithms 13, 1992), so only its reflections are left to
     compare. Sizes only prune branches that cannot sum to n, so the
     sequences come in the order of the unpruned recursion, descending.
-    """
 
-    def extend(seq: tuple[int, ...], used: int, p: int) -> Iterator[tuple[int, ...]]:
-        t, left = len(seq), n - used
+    One list holds the prefix, and the call for the last position but one
+    also places the last code. Each first code's full sequences are
+    collected in a list and yielded once its recursion ends (at most 49
+    sequences at n = 12 and 928 at n = 16).
+    """
+    seq = [0] * c  # the prefix being extended, one code per position
+    batch: list[tuple[int, ...]] = []  # the full sequences of the current first code
+
+    def extend(t: int, left: int, p: int) -> None:
         top = seq[t - p]
-        if t == c - 1:  # the last code takes exactly the vertices left
-            for code in range(min(top, _FIRST[left + 1] - 1), _FIRST[left] - 1, -1):
-                if code < top or c % p == 0:
-                    cand = seq + (code,)
-                    if _beats_reflections(cand):
-                        yield cand
-            return
         max_here = left - (c - t - 1)
         for code in range(min(top, _FIRST[max_here + 1] - 1), -1, -1):
-            yield from extend(seq + (code,), used + _SIZE[code], p if code == top else t + 1)
+            seq[t] = code
+            rest, q = left - _SIZE[code], p if code == top else t + 1
+            if t < c - 2:
+                extend(t + 1, rest, q)
+                continue
+            # the last code takes exactly the vertices left, and is below
+            # seq[c - 1 - q] unless q divides c
+            last_top = seq[c - 1 - q] if c % q == 0 else seq[c - 1 - q] - 1
+            for last in range(min(last_top, _FIRST[rest + 1] - 1), _FIRST[rest] - 1, -1):
+                seq[-1] = last
+                if _beats_reflections(seq):
+                    batch.append(tuple(seq))
 
     for first in range(last_code(n - c + 1), -1, -1):
-        yield from extend((first,), _SIZE[first], 1)
+        seq[0] = first
+        extend(1, n - _SIZE[first], 1)
+        yield from batch
+        batch.clear()
 
 
-def _beats_reflections(seq: tuple[int, ...]) -> bool:
-    """Whether seq is at least every rotation of its reverse."""
-    c = len(seq)
+def _beats_reflections(seq: list[int]) -> bool:
+    """Whether seq, the largest of its rotations, is at least every
+    rotation of its reverse. Its first code is its largest, so a rotation
+    that starts with a smaller code is smaller and is not compared; when
+    no other code equals it, the one rotation left reads seq backwards
+    from its first code."""
+    c, top = len(seq), seq[0]
+    if seq.count(top) == 1:
+        return seq[:0:-1] <= seq[1:]
     rev = seq[::-1] * 2
     for s in range(c):
-        if rev[s : s + c] > seq:
+        if rev[s] == top and rev[s : s + c] > seq:
             return False
     return True
 

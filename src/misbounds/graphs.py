@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import re
 from math import isqrt
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 
 class Graph(NamedTuple):
@@ -192,12 +192,13 @@ def _g6_size_prefix(n: int) -> str:
     raise ValueError(f"order {n} too large for supported graph6 size forms")
 
 
-def graph6_blocks(g: Graph) -> Iterator[str]:
+def graph6_blocks(g: Graph, lab: Optional[Sequence[int]] = None) -> Iterator[str]:
     """graph6 text of g in pieces: the size prefix, then the body in
     blocks of whole columns, each about a million characters at most.
-    Joined they are write_graph6(g); written one at a time they hold one
-    block in memory. An order too large for the size forms is refused
-    before the first piece.
+    Joined they are write_graph6(g, lab); written one at a time they hold
+    one block in memory. With a labeling, vertex lab[i] is written as
+    label i. An order too large for the size forms, or a labeling that
+    does not list each vertex once, is refused before the first piece.
 
     Column j holds bits j(j-1)/2 .. j(j+1)/2 - 1, one per pair i < j,
     and begins on a character when j is 1 or a multiple of 12, where
@@ -206,7 +207,15 @@ def graph6_blocks(g: Graph) -> Iterator[str]:
     string.
     """
     n = g.order
-    yield _g6_size_prefix(n)
+    prefix = _g6_size_prefix(n)
+    adj = g.adj
+    if lab is not None:
+        if sorted(lab) != list(range(n)):
+            raise ValueError(f"a labeling must list each of the {n} vertices once")
+        pos = [0] * n  # pos[v] is the label of vertex v
+        for i, v in enumerate(lab):
+            pos[v] = i
+    yield prefix
     start = 1
     while start < n:
         stop = min(n, max(start + 12, isqrt(start * start + 2 * _G6_BLOCK_BITS)) // 12 * 12)
@@ -214,20 +223,31 @@ def graph6_blocks(g: Graph) -> Iterator[str]:
         vals = bytearray((stop * (stop - 1) // 2 - base + 5) // 6)
         for j in range(start, stop):
             first = j * (j - 1) // 2 - base  # bit first + i is the pair i < j
-            m = g.adj[j] & ((1 << j) - 1)
-            while m:
-                low = m & -m
-                k = first + low.bit_length() - 1
-                vals[k // 6] |= 32 >> k % 6
-                m ^= low
+            if lab is None:
+                m = adj[j] & ((1 << j) - 1)
+                while m:
+                    low = m & -m
+                    k = first + low.bit_length() - 1
+                    vals[k // 6] |= 32 >> k % 6
+                    m ^= low
+            else:
+                m = adj[lab[j]]
+                while m:
+                    low = m & -m
+                    i = pos[low.bit_length() - 1]
+                    if i < j:
+                        k = first + i
+                        vals[k // 6] |= 32 >> k % 6
+                    m ^= low
         yield vals.translate(_G6_ADD_63).decode("ascii")
         start = stop
 
 
-def write_graph6(g: Graph) -> str:
+def write_graph6(g: Graph, lab: Optional[Sequence[int]] = None) -> str:
     """Encode as graph6 text (one-byte size for n <= 62, 4-byte above):
-    the pieces of graph6_blocks, joined."""
-    return "".join(graph6_blocks(g))
+    the pieces of graph6_blocks, joined; with a labeling, vertex lab[i]
+    is written as label i."""
+    return "".join(graph6_blocks(g, lab))
 
 
 def parse_graph6(text: str) -> Graph:
@@ -488,17 +508,4 @@ def canonical_form(g: Graph) -> bytes:
     rank = g.edge_count - n + sum(1 for _ in _component_masks(g))
     if rank > 1:
         raise ValueError(f"canonical_form needs at most one cycle, got cycle rank {rank}")
-    adj = g.adj
-    lab = _single_path(adj, n)
-    pos = [0] * n  # pos[v] is v's label on the single path
-    for i, v in enumerate(lab):
-        pos[v] = i
-    rows = []  # rows[i] is the neighbour mask of label i, in labels
-    for v in lab:
-        row, m = 0, adj[v]
-        while m:
-            low = m & -m
-            row |= 1 << pos[low.bit_length() - 1]
-            m ^= low
-        rows.append(row)
-    return write_graph6(Graph(n, tuple(rows))).encode("ascii")
+    return write_graph6(g, _single_path(g.adj, n)).encode("ascii")

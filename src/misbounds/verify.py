@@ -231,10 +231,12 @@ class Claim1Report(NamedTuple):
         return {"claim": "even_cycle_alpha", **self._asdict()}
 
 
-def verify_claim1(n_max: int) -> Claim1Report:
-    """Claim 1 over orders 4..n_max, tallied by the unicyclic scan of each."""
-    orders = _orders("claim1", n_max)
-    return _claim1_report(n_max, (_scan_order("unicyclic", n)[1] for n in orders))
+def verify_claim1(n_max: int, jobs: int = 1) -> Claim1Report:
+    """Claim 1 over orders 4..n_max, tallied by the unicyclic scan of each,
+    one whole order per task, largest first, as in _verify_class."""
+    orders = _orders("claim1", n_max)[::-1]
+    scans = _run_tasks([(_scan_order, ("unicyclic", n)) for n in orders], jobs)
+    return _claim1_report(n_max, (scan[1] for scan, _ in reversed(scans)))
 
 
 def _claim1_report(n_max: int, tallies: Iterable[tuple[int, list[str]]]) -> Claim1Report:

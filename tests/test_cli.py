@@ -409,6 +409,54 @@ class TestUsage:
         assert code == 2
         assert err.startswith("error: [Errno ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--class", "unicyclic", "--max-n", "13", "--jobs", "1",
+             "--out", "{missing}/x.csv"],
+            ["verify", "--class", "unicyclic", "--max-n", "13", "--jobs", "1",
+             "--out", "{dir}"],
+            ["verify", "--class", "tree", "--max-n", "13", "--jobs", "1",
+             "--all-witnesses", "{missing}/w.txt"],
+            ["verify", "--class", "tree", "--max-n", "13", "--jobs", "1",
+             "--all-witnesses", "{dir}"],
+            ["verify", "--class", "claim1", "--max-n", "13", "--jobs", "1",
+             "--out", "{missing}/c.json"],
+            ["lemmas", "--limit", "60", "--out", "{missing}/l.json"],
+            ["lemmas", "--limit", "60", "--out", "{dir}"],
+        ],
+        ids=["out-missing-dir", "out-directory", "witnesses-missing-dir",
+             "witnesses-directory", "claim1-out-missing-dir", "lemmas-out-missing-dir",
+             "lemmas-out-directory"],
+    )
+    def test_unwritable_output_refused_before_any_scan(self, capsys, monkeypatch, tmp_path,
+                                                       argv):
+        """Without the check the scan ran whole, printed every record and
+        violations=0, and only then exited 2 on the write."""
+        def scan(*args, **kwargs):
+            raise AssertionError("scanned before refusing")
+
+        monkeypatch.setattr("misbounds.verify._scan_order", scan)
+        monkeypatch.setattr("misbounds.cli.sweep_sequence_lemmas", scan)
+        paths = {"missing": tmp_path / "missing", "dir": tmp_path}
+        code, out, err = run(capsys, *[a.format(**paths) for a in argv])
+        assert (code, out) == (2, "") and err.count("\n") == 1 and err.startswith("error:")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_unwritable_output_directory_refused_before_any_scan(self, capsys, monkeypatch,
+                                                                 tmp_path):
+        def scan(*args):
+            raise AssertionError("scanned before refusing")
+
+        monkeypatch.setattr("misbounds.verify._scan_order", scan)
+        monkeypatch.setattr("misbounds.cli.os.access", lambda path, mode: False)
+        path = tmp_path / "t.csv"
+        code, out, err = run(capsys, "verify", "--class", "tree", "--max-n", "9", "--jobs", "1",
+                             "--out", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: [Errno 13] Permission denied: '{path}'\n"
+        assert not path.exists()
+
     def test_permission_denied_exits_2(self, capsys, monkeypatch):
         def denied(path, *a, **kw):
             raise PermissionError(13, "Permission denied", path)

@@ -487,7 +487,8 @@ class TestCanonicalForm:
 class TestGraph6Packing:
     """The oracle's search packs an _encode bitstring into graph6 itself.
     The bytes must be write_graph6 of the graph relabeled the same way,
-    as canonical_form writes them. From order 2 to 20 the bit count
+    and write_graph6 of the graph given that labeling, which is how
+    canonical_form writes them. From order 2 to 20 the bit count
     n(n-1)/2 is 0, 1, 3 and 4 mod 6, so every padding length the orders
     reach is checked."""
 
@@ -506,7 +507,32 @@ class TestGraph6Packing:
                 pos = {v: i for i, v in enumerate(lab)}
                 h = make_graph(n, [(pos[u], pos[v]) for u, v in g.edges()])
                 assert _pack_graph6(n, _encode(g.adj, lab)) == write_graph6(h).encode(), (n, p)
+                assert write_graph6(g, lab) == write_graph6(h), (n, p)
         assert paddings == {0, 1, 3, 4}
+
+    def test_labeling_across_a_block_boundary(self):
+        # The second body block starts at column 3540; a shuffled path
+        # with chords puts edges on both sides of it and across it.
+        import random
+
+        rng = random.Random(7)
+        n = 3600
+        edges = [(j - 1, j) for j in range(1, n)]
+        edges += [tuple(rng.sample(range(n), 2)) for _ in range(500)]
+        g = make_graph(n, edges)
+        lab = list(range(n))
+        rng.shuffle(lab)
+        pos = {v: i for i, v in enumerate(lab)}
+        h = make_graph(n, [(pos[u], pos[v]) for u, v in g.edges()])
+        pieces = list(graph6_blocks(g, lab))
+        assert len(pieces) == 3
+        assert "".join(pieces) == write_graph6(g, lab) == write_graph6(h)
+
+    @pytest.mark.parametrize("lab", [[0, 0, 1], [0, 1], [0, 1, 3], [2, 1, 0, 3]])
+    def test_labeling_must_list_each_vertex_once(self, lab):
+        g = make_graph(3, [(0, 1), (1, 2)])
+        with pytest.raises(ValueError):
+            write_graph6(g, lab)
 
 
 def _random_graph(rng, n):

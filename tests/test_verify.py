@@ -396,6 +396,24 @@ class TestClaim1:
             assert _scan_order("tree", n)[1] == (0, [])
             assert _scan_order("forest", n)[1] == (0, [])
 
+    def test_jobs_do_not_change_the_report(self):
+        assert verify_claim1(11, jobs=1) == verify_claim1(11, jobs=2)
+
+    def test_orders_run_as_tasks_largest_first(self, monkeypatch):
+        import misbounds.verify as verify
+
+        seen = []
+        real = verify._run_tasks
+
+        def run_tasks(tasks, jobs):
+            seen.append(([args for _, args in tasks], jobs))
+            return real(tasks, 1)
+
+        monkeypatch.setattr(verify, "_run_tasks", run_tasks)
+        assert verify_claim1(7, jobs=2) == verify_claim1(7)
+        orders = [("unicyclic", n) for n in (7, 6, 5, 4)]
+        assert seen == [(orders, 2), (orders, 1)]
+
     def test_serializes(self):
         rep = verify_claim1(6)
         d = rep.to_dict()
