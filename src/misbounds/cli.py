@@ -113,10 +113,6 @@ def _cmd_enumerate(args) -> int:
     return 0
 
 
-def _default_jobs() -> int:
-    return os.cpu_count() or 1
-
-
 def _check_writable(path: Optional[str]) -> None:
     """Raise the OSError that opening `path` for writing would raise when
     it is a directory, its directory is missing, or it cannot be written,
@@ -138,11 +134,13 @@ def _check_writable(path: Optional[str]) -> None:
 
 
 def _cmd_verify(args) -> int:
-    jobs = args.jobs if args.jobs is not None else _default_jobs()
-    if jobs < 1:
-        raise UsageError(f"--jobs must be at least 1, got {jobs}")
+    if args.jobs < 1:
+        raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
     if args.all_witnesses and args.graph_class in ("claim1", "cycle"):
         raise UsageError(f"--all-witnesses applies to the class scans, not {args.graph_class}")
+    if args.out and args.all_witnesses and (
+            os.path.realpath(args.out) == os.path.realpath(args.all_witnesses)):
+        raise UsageError(f"--out and --all-witnesses name the same file: {args.out}")
     _check_writable(args.out)
     _check_writable(args.all_witnesses)
     if args.graph_class in ("tree", "forest", "unicyclic"):
@@ -151,7 +149,7 @@ def _cmd_verify(args) -> int:
             "forest": verify_forest_corollary,
             "unicyclic": verify_unicyclic_theorem,
         }[args.graph_class]
-        result = runner(args.max_n, jobs=jobs)
+        result = runner(args.max_n, jobs=args.jobs)
         for r in result.records:
             print(
                 f"class={r.graph_class} n={r.n} alpha={r.alpha} bound={r.bound} "
@@ -170,7 +168,7 @@ def _cmd_verify(args) -> int:
                         fh.write(f"{cls_name},{n},{alpha},{w}\n")
         return 1 if violations else 0
     if args.graph_class == "claim1":
-        report = verify_claim1(args.max_n, jobs=jobs)
+        report = verify_claim1(args.max_n, jobs=args.jobs)
         print(
             f"claim1 max_n={report.n_max} checked={report.graphs_checked} "
             f"violations={len(report.violations)}"
@@ -276,7 +274,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--class", dest="graph_class", required=True,
                    choices=["tree", "forest", "unicyclic", "claim1", "cycle"])
     p.add_argument("--max-n", type=int, required=True)
-    p.add_argument("--jobs", type=int,
+    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
                    help="worker processes, at most one per core and one per order "
                    "(default: all cores)")
     p.add_argument("--out", help="write certificates to a .csv or .json file")
@@ -311,7 +309,8 @@ def main(argv: Optional[list[str]] = None) -> int:
 def run_command(func, args) -> int:
     """Run func(args) and return its exit code. An error is reported as
     one line on stderr: 2 for a usage or input error (a bad value, or a
-    path that is missing or cannot be opened), 3 for a crash.
+    path that is missing, cannot be opened, or names a file where a
+    directory must go), 3 for a crash.
 
     Python's 4,300-digit cap on int-to-decimal conversion (3.10.7 on) is
     lifted while func runs, so numbers print in full. Decimal input keeps
@@ -322,7 +321,7 @@ def run_command(func, args) -> int:
     set_cap(0)
     try:
         return func(args)
-    except (UsageError, ValueError, FileNotFoundError, IsADirectoryError,
+    except (UsageError, ValueError, FileExistsError, FileNotFoundError, IsADirectoryError,
             NotADirectoryError, PermissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -18,10 +18,10 @@ tree pass grows a vertex's state one child at a time through _adopt;
 shape_mis_alpha does the same steps with the states held in locals.
 
 shape_mis_alpha counts a generator shape (trees, forests, unicyclic
-graphs) without building its graph. It reads each rooted code's root
-state from four lists indexed by code, one per starting state (free
-and the three pins), which grow in code order whenever the rooted
-table (misbounds.rooted) has grown. Apart from those tables the
+graphs) without building its graph. It reads each rooted code's free
+root state from one list indexed by code, which grows in code order
+whenever the rooted table (misbounds.rooted) has grown; a pinned cycle
+end zeroes or forbids entries of that state. Apart from that table the
 functions are pure, and none stores a maximal set.
 """
 
@@ -204,25 +204,19 @@ def shape_mis_alpha(graph_class: str, shape: tuple) -> tuple[int, int]:
     raise ValueError(f"unknown graph class {graph_class!r}")
 
 
-# The root state of each code of the rooted table (misbounds.rooted)
-# started from each pin a shape gives it: _CODE_STATES[i][code] starts
-# from _PINS[i]. _grow_code_states extends the four lists in code order
-# whenever the rooted table has grown.
-_PINS = (_FREE, _S_IN, _COVERED, _S_OUT)
-_CODE_STATES: tuple[list[State], ...] = ([], [], [], [])
-_FREE_STATES, _IN_STATES, _COVERED_STATES, _OUT_STATES = _CODE_STATES
+# The free root state of each rooted code (misbounds.rooted), indexed by
+# code; _grow_code_states extends it whenever the rooted table has grown.
+_FREE_STATES: list[State] = []
 
 
 def _grow_code_states() -> None:
-    """Append the states of every code past the tables' end; a code's
-    children come before it, so their free states are already there."""
+    """Append the free states of every code past the table's end; a
+    code's children come before it, so their states are already there."""
     for code in range(len(_FREE_STATES), len(_CHILDREN)):
-        children = _CHILDREN[code]
-        for pin, table in zip(_PINS, _CODE_STATES):
-            state = pin
-            for child in children:
-                state = _adopt(state, _FREE_STATES[child])
-            table.append(state)
+        state = _FREE
+        for child in _CHILDREN[code]:
+            state = _adopt(state, _FREE_STATES[child])
+        _FREE_STATES.append(state)
 
 
 def _tree_mis_alpha(shape: tuple) -> tuple[int, int]:
@@ -251,11 +245,14 @@ def _cycle_mis_alpha(seq: tuple) -> tuple[int, int]:
     vertex adopting the run's state below it as _adopt does: a, neither
     end of the co-tree edge in S, each to be dominated inside the tree;
     b, 0 in S and c-1 dominated by it; c, c-1 in S and 0 dominated by
-    it. The root's step adds each run's mis and alpha directly.
+    it. Each pinned end is its free state with the entries its pin rules
+    out zeroed or _FORBIDDEN, so runs a and b share one alpha track. The
+    root's step adds each run's mis and alpha directly.
     """
-    a_in, a_out, a_bare, a_inc, a_exc = _OUT_STATES[seq[-1]]
-    b_in, b_out, b_bare, b_inc, b_exc = _COVERED_STATES[seq[-1]]
-    c_in, c_out, c_bare, c_inc, c_exc = _IN_STATES[seq[-1]]
+    in_s, out, bare, inc, exc = _FREE_STATES[seq[-1]]
+    a_in, a_out, a_bare, a_inc, a_exc = 0, out, bare, _FORBIDDEN, exc
+    b_in, b_out, b_bare = 0, out, 0
+    c_in, c_out, c_bare, c_inc, c_exc = in_s, 0, 0, inc, _FORBIDDEN
     for code in seq[-2:0:-1]:
         in_s, out, bare, inc, exc = _FREE_STATES[code]
         dom = a_out - a_bare
@@ -263,20 +260,12 @@ def _cycle_mis_alpha(seq: tuple) -> tuple[int, int]:
         a_inc, a_exc = inc + a_exc, exc + (a_inc if a_inc > a_exc else a_exc)
         dom = b_out - b_bare
         b_in, b_out, b_bare = in_s * b_out, out * (b_in + dom), bare * dom
-        b_inc, b_exc = inc + b_exc, exc + (b_inc if b_inc > b_exc else b_exc)
         dom = c_out - c_bare
         c_in, c_out, c_bare = in_s * c_out, out * (c_in + dom), bare * dom
         c_inc, c_exc = inc + c_exc, exc + (c_inc if c_inc > c_exc else c_exc)
-    in_s, out, bare, inc, exc = _OUT_STATES[seq[0]]
+    in_s, out, bare, inc, exc = _FREE_STATES[seq[0]]
     dom = a_out - a_bare
-    mis = in_s * a_out + out * (a_in + dom) - bare * dom
-    alpha = max(inc + a_exc, exc + (a_inc if a_inc > a_exc else a_exc))
-    in_s, out, bare, inc, exc = _IN_STATES[seq[0]]
-    dom = b_out - b_bare
-    mis += in_s * b_out + out * (b_in + dom) - bare * dom
-    alpha = max(alpha, inc + b_exc, exc + (b_inc if b_inc > b_exc else b_exc))
-    in_s, out, bare, inc, exc = _COVERED_STATES[seq[0]]
-    dom = c_out - c_bare
-    mis += in_s * c_out + out * (c_in + dom) - bare * dom
-    alpha = max(alpha, inc + c_exc, exc + (c_inc if c_inc > c_exc else c_exc))
+    mis = out * (a_in + dom) - bare * dom + in_s * b_out + out * (c_in + c_out - c_bare)
+    alpha = max(exc + (a_inc if a_inc > a_exc else a_exc), inc + a_exc,
+                exc + (c_inc if c_inc > c_exc else c_exc))
     return mis, alpha

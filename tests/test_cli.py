@@ -443,6 +443,22 @@ class TestUsage:
         assert (code, out) == (2, "") and err.count("\n") == 1 and err.startswith("error:")
         assert list(tmp_path.iterdir()) == []
 
+    def test_one_file_named_twice_refused_before_any_scan(self, capsys, monkeypatch,
+                                                          tmp_path):
+        """Without the check the witness lines overwrote the certificates
+        and the run exited 0."""
+        def scan(*args):
+            raise AssertionError("scanned before refusing")
+
+        monkeypatch.setattr("misbounds.verify._scan_order", scan)
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "verify", "--class", "tree", "--max-n", "5",
+                             "--jobs", "1", "--out", "x.csv",
+                             "--all-witnesses", str(tmp_path / "x.csv"))
+        assert (code, out) == (2, "")
+        assert err == "error: --out and --all-witnesses name the same file: x.csv\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_unwritable_output_directory_refused_before_any_scan(self, capsys, monkeypatch,
                                                                  tmp_path):
         def scan(*args):

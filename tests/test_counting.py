@@ -6,7 +6,13 @@ import hypothesis.strategies as st
 
 from misbounds.counting import (
     PIN_LIMIT,
+    _COVERED,
+    _FREE_STATES,
+    _S_IN,
+    _S_OUT,
+    _adopt,
     _clique_walk,
+    _grow_code_states,
     _pinned_mis_alpha,
     independence_number,
     mis_alpha,
@@ -22,7 +28,7 @@ from misbounds.generate import (
     unicyclic_shapes,
 )
 from misbounds.graphs import classify, make_graph
-from misbounds.rooted import LEAF
+from misbounds.rooted import LEAF, _CHILDREN, rooted_tree_codes
 
 from conftest import graphs, labeled_forests, labeled_trees, trees_with_extra_edges
 from oracle_helpers import (
@@ -643,6 +649,24 @@ class TestShapeRoute:
     def test_unknown_class(self):
         with pytest.raises(ValueError):
             shape_mis_alpha("graph", ((),))
+
+    def test_pinned_starts_are_projections_of_the_free_state(self):
+        # _cycle_mis_alpha starts each pinned end from its code's free state
+        # with entries zeroed or forbidden (None here: any negative value).
+        # Folding the graph route's pin constants with _adopt must agree.
+        codes = [code for size in range(1, 10) for code in rooted_tree_codes(size)]
+        _grow_code_states()
+        for code in codes:
+            in_s, out, bare, inc, exc = _FREE_STATES[code]
+            projections = [(_S_IN, (in_s, 0, 0, inc, None)),
+                           (_COVERED, (0, out, 0, None, exc)),
+                           (_S_OUT, (0, out, bare, None, exc))]
+            for pin, projection in projections:
+                state = pin
+                for child in _CHILDREN[code]:
+                    state = _adopt(state, _FREE_STATES[child])
+                for got, want in zip(state, projection):
+                    assert got < 0 if want is None else got == want, (code, pin, state)
 
     def test_state_tables_grow_with_the_rooted_table(self):
         # In a fresh interpreter the first count fills the state tables

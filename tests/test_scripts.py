@@ -154,6 +154,15 @@ def test_jobs_below_1_exits_2_with_empty_stdout(tmp_path):
     assert not (tmp_path / "certs").exists()
 
 
+def test_out_dir_naming_a_file_exits_2(tmp_path):
+    # os.makedirs raises FileExistsError, a usage error rather than a crash
+    plain = tmp_path / "plain"
+    plain.write_text("")
+    proc = _run_script(SCRIPT, "--out-dir", str(plain), *TINY_SCOPE)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: [Errno 17] File exists: '{plain}'\n"
+
+
 def test_census_tiny_order_exits_0(capsys):
     assert _load(CENSUS).main(["--class", "tree", "-n", "6"]) == 0
     assert capsys.readouterr().out == (
